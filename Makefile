@@ -11,7 +11,8 @@ all: build test
 # fault-injection / governance smoke suite, the fuzz seed corpora, the
 # parallel-determinism + trace byte-identity suites, and the WAL
 # crash-recovery matrix (cut the log at every boundary and interior byte;
-# the recovered engine must match the durable prefix exactly).
+# the recovered engine must match the durable prefix exactly), and the ACG
+# differential and concurrent-reader suites under -race.
 check:
 	$(MAKE) fmt-check
 	$(GO) vet ./...
@@ -26,6 +27,7 @@ check:
 	$(GO) test -race -run 'Ingest|Stream|Queue' ./internal/ingest/ ./internal/bench/ ./internal/server/ .
 	$(GO) test -race -run 'Shard' ./internal/shard/ .
 	$(GO) test -race -run 'Segment|Store|Tiered' ./internal/segment/ ./internal/keyword/ .
+	$(GO) test -race -run 'Graph|Hops|Neighborhood|PathWeights|Submit|Cache' ./internal/acg/ ./internal/verification/ .
 	$(MAKE) bench-stream
 	$(MAKE) bench-shard
 	$(MAKE) bench-store

@@ -147,7 +147,7 @@ func (e *Engine) runBatch(ctx context.Context, ids []AnnotationID, process bool,
 				results[i].Err = fmt.Errorf("%w: panic: %v\n%s", ErrInternal, r, debug.Stack())
 			}
 		}()
-		results[i].Discovery, results[i].Err = e.discover(ctx, inputs[i].a, inputs[i].focal, opts)
+		results[i].Discovery, results[i].Err = e.discover(ctx, inputs[i].a, inputs[i].focal, opts, !process)
 	})
 	for i := range results {
 		if inputs[i].a != nil && !started[i] {

@@ -433,3 +433,71 @@ func TestCacheGovernorCommand(t *testing.T) {
 		}
 	}
 }
+
+// TestCacheStage3StoresNoDeadEntries pins the Stage-3 store rule: Process,
+// ProcessBatch and ingest drains bump the annotation's epoch right after
+// discovering, so they probe the discovery cache but never store into it
+// (an entry would be dead on arrival). Discover still stores, and a Process
+// that follows a Discover of the same annotation still hits.
+func TestCacheStage3StoresNoDeadEntries(t *testing.T) {
+	ds, err := workload.Generate(workload.TinyConfig(11))
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := nebula.DefaultOptions()
+	opts.Ingest = nebula.IngestConfig{Enabled: true}
+	e, err := nebula.NewWithState(ds.DB, ds.Meta, ds.Store, ds.Graph, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	specs := ds.WorkloadSet(500, workload.RefClass{Min: 4, Max: 6})
+	if len(specs) < 5 {
+		t.Fatalf("fixture has only %d workload specs, need 5", len(specs))
+	}
+	for _, spec := range specs[:3] {
+		if err := e.AddAnnotation(spec.Ann, spec.Focal(1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	entries := func() int { return e.CacheStats().Discovery.Entries }
+
+	if _, _, err := e.Process(specs[0].Ann.ID); err != nil {
+		t.Fatal(err)
+	}
+	if got := entries(); got != 0 {
+		t.Fatalf("Process stored %d discovery-cache entries, want 0", got)
+	}
+	for _, r := range e.ProcessBatch([]nebula.AnnotationID{specs[1].Ann.ID}) {
+		if r.Err != nil {
+			t.Fatal(r.Err)
+		}
+	}
+	if got := entries(); got != 0 {
+		t.Fatalf("ProcessBatch stored %d discovery-cache entries, want 0", got)
+	}
+	for _, spec := range specs[3:5] {
+		if _, err := e.AddAnnotationAsync(spec.Ann, spec.Focal(1), 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if res, err := e.FlushIngest(context.Background()); err != nil || res.Drained != 2 {
+		t.Fatalf("flush drained %d jobs (err %v), want 2", res.Drained, err)
+	}
+	if got := entries(); got != 0 {
+		t.Fatalf("ingest drain stored %d discovery-cache entries, want 0", got)
+	}
+
+	if _, err := e.Discover(specs[2].Ann.ID); err != nil {
+		t.Fatal(err)
+	}
+	if got := entries(); got != 1 {
+		t.Fatalf("Discover left %d discovery-cache entries, want 1", got)
+	}
+	hits := e.CacheStats().Discovery.Hits
+	if _, _, err := e.Process(specs[2].Ann.ID); err != nil {
+		t.Fatal(err)
+	}
+	if got := e.CacheStats().Discovery.Hits; got != hits+1 {
+		t.Fatalf("Process after Discover: discovery hits %d -> %d, want one hit", hits, got)
+	}
+}

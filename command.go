@@ -157,7 +157,7 @@ func (e *Engine) execDiscover(id string, process bool, timeoutMillis int64, maxC
 	if process {
 		disc, outcome, err = e.process(ctx, AnnotationID(id), opts)
 	} else {
-		disc, err = e.discoverByID(ctx, AnnotationID(id), opts)
+		disc, err = e.discoverByID(ctx, AnnotationID(id), opts, true)
 	}
 	interrupted := err != nil && (errors.Is(err, ErrCancelled) || errors.Is(err, ErrBudgetExceeded))
 	if err != nil && !interrupted {

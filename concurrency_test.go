@@ -190,6 +190,66 @@ func TestConcurrentBatchUse(t *testing.T) {
 	}
 }
 
+// TestGraphConcurrentDiscoverBatch runs parallel DiscoverBatch calls —
+// each fanned across workers — against one engine whose discoveries walk
+// the ACG: spreading (Neighborhood) and multi-hop focal adjustment
+// (PathWeights), with the cache off so every run traverses. Every run must
+// render exactly like a sequential one. Run with -race: the traversals
+// share the graph but no scratch.
+func TestGraphConcurrentDiscoverBatch(t *testing.T) {
+	opts := nebula.DefaultOptions()
+	opts.Spreading = true
+	opts.SpreadingK = 2
+	opts.AdjustmentHops = 3
+	opts.Parallelism = 4
+	opts.Cache = nebula.CacheConfig{Disabled: true}
+	e, ds := engineFixture(t, opts)
+	specs := ds.WorkloadSet(500, workload.RefClass{})
+	if len(specs) < 6 {
+		t.Fatalf("fixture too small: %d specs", len(specs))
+	}
+	ids := make([]nebula.AnnotationID, 6)
+	for i, spec := range specs[:6] {
+		if err := e.AddAnnotation(spec.Ann, spec.Focal(1)); err != nil {
+			t.Fatalf("add %d: %v", i, err)
+		}
+		ids[i] = spec.Ann.ID
+	}
+	render := func(results []nebula.BatchResult) (string, error) {
+		var b strings.Builder
+		for _, r := range results {
+			if r.Err != nil {
+				return "", fmt.Errorf("discover %s: %w", r.ID, r.Err)
+			}
+			fmt.Fprintf(&b, "%s %s\n", r.ID, renderDiscovery(r.Discovery))
+		}
+		return b.String(), nil
+	}
+	want, err := render(e.DiscoverBatch(ids))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := 0; k < 3; k++ {
+				got, err := render(e.DiscoverBatch(ids))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if got != want {
+					t.Errorf("concurrent DiscoverBatch diverged:\n%s\nwant:\n%s", got, want)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
 // TestConcurrentRequestOptions races read-locked DiscoverRequest calls with
 // different per-request governance overlays against snapshot captures. The
 // overlay is applied per call, never written back: the engine's configured

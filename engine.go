@@ -511,21 +511,26 @@ func (e *Engine) DiscoverRequest(ctx context.Context, id AnnotationID, req Reque
 	}
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	return e.discoverByID(ctx, id, req.apply(e.opts))
+	return e.discoverByID(ctx, id, req.apply(e.opts), true)
 }
 
-func (e *Engine) discoverByID(ctx context.Context, id AnnotationID, opts Options) (*Discovery, error) {
+func (e *Engine) discoverByID(ctx context.Context, id AnnotationID, opts Options, cacheResult bool) (*Discovery, error) {
 	a, ok := e.store.Get(id)
 	if !ok {
 		return nil, fmt.Errorf("%w %q", ErrUnknownAnnotation, id)
 	}
-	return e.discover(ctx, a, e.store.Focal(id), opts)
+	return e.discover(ctx, a, e.store.Focal(id), opts, cacheResult)
 }
 
 // discover is the focal- and options-parameterized core, shared with bounds
 // training and the per-request serving surface. Callers must hold e.mu (in
 // read or write mode); the run touches engine state only through reads.
-func (e *Engine) discover(ctx context.Context, a *Annotation, focal []TupleID, opts Options) (disc *Discovery, err error) {
+//
+// cacheResult false still probes the discovery cache but stores nothing:
+// Stage-3 callers (process, ProcessBatch, ingest drains) bump the
+// annotation's epoch right after discovering, which would kill the entry
+// before anyone could hit it.
+func (e *Engine) discover(ctx context.Context, a *Annotation, focal []TupleID, opts Options, cacheResult bool) (disc *Discovery, err error) {
 	if opts.Trace {
 		// Root the span tree here unless a caller (process) already owns
 		// one, in which case this run is a child and the owner snapshots.
@@ -638,7 +643,7 @@ func (e *Engine) discover(ctx context.Context, a *Annotation, focal []TupleID, o
 		}
 		return nil, err
 	}
-	if useCache && len(disc.Degraded()) == 0 {
+	if useCache && cacheResult && len(disc.Degraded()) == 0 {
 		// Only clean runs are cached: a degraded result is an artifact of
 		// this run's governance, not the annotation's answer. The stored
 		// copy owns its candidate slice so later callers mutating the
@@ -811,7 +816,7 @@ func (e *Engine) process(ctx context.Context, id AnnotationID, opts Options) (di
 			}
 		}()
 	}
-	disc, err = e.discoverByID(ctx, id, opts)
+	disc, err = e.discoverByID(ctx, id, opts, false)
 	if err != nil {
 		return disc, VerificationOutcome{}, err
 	}
@@ -1009,7 +1014,7 @@ func (e *Engine) TuneBounds(training []TrainingExample, cfg BoundsConfig) (Bound
 		defer e.mu.Unlock()
 		wb = e.wal
 		discover := func(a *Annotation, focal []TupleID) ([]Candidate, error) {
-			d, err := e.discover(context.Background(), a, focal, e.opts)
+			d, err := e.discover(context.Background(), a, focal, e.opts, true)
 			if err != nil {
 				return nil, err
 			}

@@ -440,7 +440,7 @@ func (e *Engine) drainLocked(ctx context.Context, max int) (res IngestDrainResul
 				slots[i].err = fmt.Errorf("%w: panic: %v\n%s", ErrInternal, r, debug.Stack())
 			}
 		}()
-		slots[i].disc, slots[i].err = e.discover(ctx, slots[i].a, slots[i].focal, e.opts)
+		slots[i].disc, slots[i].err = e.discover(ctx, slots[i].a, slots[i].focal, e.opts, false)
 	})
 
 	// Phase 3 — submit sequentially in drain order; VIDs, ACG updates, and

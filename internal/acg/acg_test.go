@@ -2,6 +2,8 @@ package acg
 
 import (
 	"fmt"
+	"reflect"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -304,4 +306,49 @@ func TestRemoveTuple(t *testing.T) {
 	}
 	// Removing a missing tuple is a no-op.
 	g.RemoveTuple(tid(99))
+}
+
+// TestGraphConcurrentReaders runs Neighborhood, PathWeights, HopsToEach
+// and AffectedAnnotations from many goroutines against one graph — the
+// read-locked discovery pattern — and requires every answer to equal the
+// sequential one. Each traversal owns its scratch; run with -race to prove
+// none is shared.
+func TestGraphConcurrentReaders(t *testing.T) {
+	g := New(0, 0)
+	for i := 0; i < 200; i++ {
+		g.AddAnnotation(annotation.ID(fmt.Sprintf("a%d", i)),
+			[]relational.TupleID{tid(i % 60), tid((i * 7) % 60), tid((i * 13) % 61)})
+	}
+	focal := []relational.TupleID{tid(0), tid(30)}
+	targets := []relational.TupleID{tid(5), tid(17), tid(59), tid(60), tid(99)}
+	type answer struct {
+		nb       []relational.TupleID
+		weights  map[relational.TupleID]float64
+		hops     []int
+		reach    []bool
+		affected []annotation.ID
+	}
+	query := func() answer {
+		var a answer
+		a.nb = g.Neighborhood(focal, 2)
+		a.weights = g.PathWeights(tid(0), 3)
+		a.hops, a.reach = g.HopsToEach(targets, focal)
+		a.affected = g.AffectedAnnotations(focal, 1)
+		return a
+	}
+	want := query()
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := 0; k < 50; k++ {
+				if got := query(); !reflect.DeepEqual(got, want) {
+					t.Errorf("concurrent read diverged: %+v, want %+v", got, want)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

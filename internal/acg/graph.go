@@ -7,6 +7,7 @@
 package acg
 
 import (
+	"slices"
 	"sort"
 	"sync"
 
@@ -20,6 +21,20 @@ import (
 // to the two tuples (Jaccard of their annotation sets), recomputed from the
 // node sets on demand so it stays exact as annotations accumulate.
 //
+// Layout: nodes and annotations carry dense int32 ordinals. One
+// map[TupleID]int32 index resolves a tuple to its node slot, and one
+// map[annotation.ID]int32 resolves an annotation to its ordinal; every
+// other reference is an ordinal. Each node keeps its neighbors and its
+// annotations as two sorted []int32, so an edge check is a binary search
+// and Weight (like the edge-survival test of RemoveAttachment) merges two
+// sorted annotation lists. Each annotation keeps its node slots in
+// attachment order, the order AttachmentList exports and snapshots encode.
+// Slots of removed nodes and ordinals of annotations left without
+// attachments are reused, so the arrays stay dense under churn. Traversals
+// (HopsToEach, Neighborhood, PathWeights, AffectedAnnotations) allocate
+// their own scratch per call — a visited bitset of one bit per node slot —
+// and share none, so concurrent readers never contend.
+//
 // Synchronization contract: the engine's sharded lock group is the Graph's
 // primary guard. The only mutations reachable while holding a single shard
 // lock are AddAnnotation and AddAttachment (the annotation-insert path) —
@@ -30,16 +45,38 @@ type Graph struct {
 	// mu serializes AddAnnotation/AddAttachment (and their stability
 	// observations) against each other across shard-locked callers.
 	mu sync.Mutex
-	// anns maps each tuple to the set of annotations attached to it.
-	anns map[relational.TupleID]map[annotation.ID]struct{}
-	// byAnn maps each annotation to the tuples it is attached to.
-	byAnn map[annotation.ID][]relational.TupleID
-	// adj is the adjacency structure (unweighted; weights on demand). Each
-	// node keeps both a membership set (O(1) edge checks) and an append-only
-	// neighbor list (cheap iteration for the BFS-heavy spreading search).
-	adj map[relational.TupleID]*adjacency
+	// index maps each annotated tuple to its node slot.
+	index map[relational.TupleID]int32
+	// nodes is indexed by slot; freeNodes lists the cleared slots of
+	// removed nodes, reused before the slice grows.
+	nodes     []node
+	freeNodes []int32
+	// annIndex maps each annotation with at least one attachment to its
+	// ordinal in anns; freeAnns lists reusable ordinals.
+	annIndex map[annotation.ID]int32
+	anns     []annEntry
+	freeAnns []int32
 
 	stability stabilityTracker
+}
+
+// node is one tuple's slot. A live node has at least one annotation; a
+// free slot has none.
+type node struct {
+	id relational.TupleID
+	// adj holds the neighbor slots, sorted ascending (edges are
+	// unweighted; weights are computed on demand).
+	adj []int32
+	// anns holds the ordinals of the attached annotations, sorted
+	// ascending.
+	anns []int32
+}
+
+// annEntry is one annotation's ordinal slot: the node slots it is attached
+// to, in attachment order.
+type annEntry struct {
+	id     annotation.ID
+	tuples []int32
 }
 
 // New returns an empty ACG with the given stability parameters: batches of
@@ -47,9 +84,8 @@ type Graph struct {
 // (Definition 6.1).
 func New(batchSize int, mu float64) *Graph {
 	return &Graph{
-		anns:  make(map[relational.TupleID]map[annotation.ID]struct{}),
-		byAnn: make(map[annotation.ID][]relational.TupleID),
-		adj:   make(map[relational.TupleID]*adjacency),
+		index:    make(map[relational.TupleID]int32),
+		annIndex: make(map[annotation.ID]int32),
 		stability: stabilityTracker{
 			batchSize: batchSize,
 			mu:        mu,
@@ -58,20 +94,20 @@ func New(batchSize int, mu float64) *Graph {
 }
 
 // Nodes returns the number of annotated tuples in the graph.
-func (g *Graph) Nodes() int { return len(g.anns) }
+func (g *Graph) Nodes() int { return len(g.index) }
 
 // Edges returns the number of edges.
 func (g *Graph) Edges() int {
 	n := 0
-	for _, nb := range g.adj {
-		n += len(nb.list)
+	for i := range g.nodes {
+		n += len(g.nodes[i].adj)
 	}
 	return n / 2
 }
 
 // Contains reports whether the tuple is a node of the graph.
 func (g *Graph) Contains(t relational.TupleID) bool {
-	_, ok := g.anns[t]
+	_, ok := g.index[t]
 	return ok
 }
 
@@ -103,146 +139,201 @@ func (g *Graph) AddAttachment(id annotation.ID, t relational.TupleID) {
 // attach wires one (annotation, tuple) pair and returns the number of new
 // edges created.
 func (g *Graph) attach(id annotation.ID, t relational.TupleID) int {
-	set, ok := g.anns[t]
-	if !ok {
-		set = make(map[annotation.ID]struct{})
-		g.anns[t] = set
-	}
-	if _, dup := set[id]; dup {
+	a := g.annOrdinal(id)
+	n := g.nodeSlot(t)
+	i, dup := slices.BinarySearch(g.nodes[n].anns, a)
+	if dup {
 		return 0
 	}
-	set[id] = struct{}{}
+	g.nodes[n].anns = slices.Insert(g.nodes[n].anns, i, a)
 	newEdges := 0
-	for _, other := range g.byAnn[id] {
-		if other == t {
-			continue
-		}
-		if g.addEdge(t, other) {
+	for _, other := range g.anns[a].tuples {
+		if g.addEdge(n, other) {
 			newEdges++
 		}
 	}
-	g.byAnn[id] = append(g.byAnn[id], t)
+	g.anns[a].tuples = append(g.anns[a].tuples, n)
 	return newEdges
 }
 
-// adjacency is one node's edge structure.
-type adjacency struct {
-	set  map[relational.TupleID]struct{}
-	list []relational.TupleID
+// nodeSlot returns the tuple's slot, allocating one (a reused slot when
+// available) for a new node.
+func (g *Graph) nodeSlot(t relational.TupleID) int32 {
+	if n, ok := g.index[t]; ok {
+		return n
+	}
+	n := allocSlot(&g.nodes, &g.freeNodes)
+	g.nodes[n].id = t
+	g.index[t] = n
+	return n
 }
 
-func (a *adjacency) add(t relational.TupleID) bool {
-	if _, dup := a.set[t]; dup {
-		return false
+// allocSlot returns an empty slot of items: the last one on free if any,
+// else a new one appended.
+func allocSlot[T any](items *[]T, free *[]int32) int32 {
+	if k := len(*free); k > 0 {
+		n := (*free)[k-1]
+		*free = (*free)[:k-1]
+		return n
 	}
-	a.set[t] = struct{}{}
-	a.list = append(a.list, t)
-	return true
+	var zero T
+	*items = append(*items, zero)
+	return int32(len(*items) - 1)
 }
 
-func (a *adjacency) remove(t relational.TupleID) {
-	if _, ok := a.set[t]; !ok {
-		return
+// freeNode releases the slot of a node left without annotations.
+func (g *Graph) freeNode(n int32) {
+	delete(g.index, g.nodes[n].id)
+	g.nodes[n] = node{}
+	g.freeNodes = append(g.freeNodes, n)
+}
+
+// annOrdinal returns the annotation's ordinal, allocating one for an
+// annotation without attachments.
+func (g *Graph) annOrdinal(id annotation.ID) int32 {
+	if a, ok := g.annIndex[id]; ok {
+		return a
 	}
-	delete(a.set, t)
-	for i, x := range a.list {
-		if x == t {
-			a.list = append(a.list[:i:i], a.list[i+1:]...)
-			break
-		}
+	a := allocSlot(&g.anns, &g.freeAnns)
+	g.anns[a].id = id
+	g.annIndex[id] = a
+	return a
+}
+
+// detach removes node n from annotation a's attachment list, keeping the
+// attachment order of the rest, and releases the ordinal once the list is
+// empty. The caller removes a from the node's own list.
+func (g *Graph) detach(a, n int32) {
+	e := &g.anns[a]
+	if i := slices.Index(e.tuples, n); i >= 0 {
+		e.tuples = slices.Delete(e.tuples, i, i+1)
+	}
+	if len(e.tuples) == 0 {
+		delete(g.annIndex, e.id)
+		*e = annEntry{}
+		g.freeAnns = append(g.freeAnns, a)
 	}
 }
 
 // addEdge inserts the undirected edge and reports whether it was new.
-func (g *Graph) addEdge(a, b relational.TupleID) bool {
-	na, ok := g.adj[a]
-	if !ok {
-		na = &adjacency{set: make(map[relational.TupleID]struct{})}
-		g.adj[a] = na
-	}
-	if !na.add(b) {
+func (g *Graph) addEdge(a, b int32) bool {
+	if !insertSorted(&g.nodes[a].adj, b) {
 		return false
 	}
-	nb, ok := g.adj[b]
-	if !ok {
-		nb = &adjacency{set: make(map[relational.TupleID]struct{})}
-		g.adj[b] = nb
-	}
-	nb.add(a)
+	insertSorted(&g.nodes[b].adj, a)
 	return true
+}
+
+// insertSorted adds v to the sorted list unless present and reports
+// whether it did.
+func insertSorted(list *[]int32, v int32) bool {
+	i, found := slices.BinarySearch(*list, v)
+	if found {
+		return false
+	}
+	*list = slices.Insert(*list, i, v)
+	return true
+}
+
+// removeSorted deletes v from the sorted list if present.
+func removeSorted(list *[]int32, v int32) {
+	if i, found := slices.BinarySearch(*list, v); found {
+		*list = slices.Delete(*list, i, i+1)
+	}
+}
+
+// common counts the values two sorted lists share.
+func common(x, y []int32) int {
+	n := 0
+	for i, j := 0, 0; i < len(x) && j < len(y); {
+		switch {
+		case x[i] < y[j]:
+			i++
+		case x[i] > y[j]:
+			j++
+		default:
+			n++
+			i++
+			j++
+		}
+	}
+	return n
 }
 
 // Weight returns the edge weight α between two tuples: |common| / |union|
 // of their annotation sets, or 0 when no edge exists.
 func (g *Graph) Weight(a, b relational.TupleID) float64 {
-	na, ok := g.adj[a]
+	na, ok := g.index[a]
 	if !ok {
 		return 0
 	}
-	if _, connected := na.set[b]; !connected {
+	nb, ok := g.index[b]
+	if !ok {
 		return 0
 	}
-	sa, sb := g.anns[a], g.anns[b]
-	common := 0
-	for id := range sa {
-		if _, ok := sb[id]; ok {
-			common++
-		}
+	if _, connected := slices.BinarySearch(g.nodes[na].adj, nb); !connected {
+		return 0
 	}
-	union := len(sa) + len(sb) - common
+	return g.weight(na, nb)
+}
+
+// weight is Weight between two connected slots.
+func (g *Graph) weight(a, b int32) float64 {
+	sa, sb := g.nodes[a].anns, g.nodes[b].anns
+	c := common(sa, sb)
+	union := len(sa) + len(sb) - c
 	if union == 0 {
 		return 0
 	}
-	return float64(common) / float64(union)
+	return float64(c) / float64(union)
 }
 
 // Neighbors returns the direct neighbors of a tuple, sorted for
 // determinism.
 func (g *Graph) Neighbors(t relational.TupleID) []relational.TupleID {
-	nb, ok := g.adj[t]
-	if !ok {
+	n, ok := g.index[t]
+	if !ok || len(g.nodes[n].adj) == 0 {
 		return nil
 	}
-	out := make([]relational.TupleID, len(nb.list))
-	copy(out, nb.list)
+	out := g.tuples(g.nodes[n].adj)
 	sortTuples(out)
 	return out
 }
 
+// tuples maps node slots to their tuples.
+func (g *Graph) tuples(slots []int32) []relational.TupleID {
+	out := make([]relational.TupleID, len(slots))
+	for i, n := range slots {
+		out[i] = g.nodes[n].id
+	}
+	return out
+}
+
 // AnnotationsOf returns how many annotations are attached to a tuple.
-func (g *Graph) AnnotationsOf(t relational.TupleID) int { return len(g.anns[t]) }
+func (g *Graph) AnnotationsOf(t relational.TupleID) int {
+	n, ok := g.index[t]
+	if !ok {
+		return 0
+	}
+	return len(g.nodes[n].anns)
+}
 
 // RemoveTuple deletes a tuple's node: its annotation memberships, its
 // edges, and its entries in other nodes' adjacency. Called when the data
 // tuple is deleted from the database. Stability counters are not rewound —
 // the batch history already happened.
 func (g *Graph) RemoveTuple(t relational.TupleID) {
-	anns, ok := g.anns[t]
+	n, ok := g.index[t]
 	if !ok {
 		return
 	}
-	for id := range anns {
-		tuples := g.byAnn[id]
-		for i, other := range tuples {
-			if other == t {
-				g.byAnn[id] = append(tuples[:i:i], tuples[i+1:]...)
-				break
-			}
-		}
-		if len(g.byAnn[id]) == 0 {
-			delete(g.byAnn, id)
-		}
+	for _, a := range g.nodes[n].anns {
+		g.detach(a, n)
 	}
-	delete(g.anns, t)
-	if adj, ok := g.adj[t]; ok {
-		for _, nb := range adj.list {
-			g.adj[nb].remove(t)
-			if len(g.adj[nb].list) == 0 {
-				delete(g.adj, nb)
-			}
-		}
-		delete(g.adj, t)
+	for _, nb := range g.nodes[n].adj {
+		removeSorted(&g.nodes[nb].adj, n)
 	}
+	g.freeNode(n)
 }
 
 // AttachmentList exports the graph's (annotation → tuples) mapping. Tuple
@@ -250,11 +341,9 @@ func (g *Graph) RemoveTuple(t relational.TupleID) {
 // Together with StabilityState this is everything needed to reconstruct
 // the graph (see internal/snapshot).
 func (g *Graph) AttachmentList() map[annotation.ID][]relational.TupleID {
-	out := make(map[annotation.ID][]relational.TupleID, len(g.byAnn))
-	for id, tuples := range g.byAnn {
-		cp := make([]relational.TupleID, len(tuples))
-		copy(cp, tuples)
-		out[id] = cp
+	out := make(map[annotation.ID][]relational.TupleID, len(g.annIndex))
+	for id, a := range g.annIndex {
+		out[id] = g.tuples(g.anns[a].tuples)
 	}
 	return out
 }

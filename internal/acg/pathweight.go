@@ -15,49 +15,49 @@ func (g *Graph) PathWeights(source relational.TupleID, maxHops int) map[relation
 	if maxHops < 1 {
 		return nil
 	}
-	if _, ok := g.adj[source]; !ok {
+	src, ok := g.index[source]
+	if !ok || len(g.nodes[src].adj) == 0 {
 		return nil
 	}
-	dist := map[relational.TupleID]int{source: 0}
-	best := map[relational.TupleID]float64{source: 1}
-	frontier := []relational.TupleID{source}
+	seen := newBitset(len(g.nodes))
+	seen.set(src)
+	// prev marks the previous layer: a node's same-shortest-length
+	// predecessors are exactly its neighbors there.
+	prev := newBitset(len(g.nodes))
+	best := map[int32]float64{src: 1}
+	out := make(map[relational.TupleID]float64)
+	frontier := []int32{src}
 	for depth := 1; depth <= maxHops && len(frontier) > 0; depth++ {
 		// Two passes per layer: first discover the layer's members, then
 		// maximize products over ALL same-shortest-length predecessors (a
 		// node can be reached from several previous-layer nodes).
-		var next []relational.TupleID
+		var next []int32
 		for _, cur := range frontier {
-			adj, ok := g.adj[cur]
-			if !ok {
-				continue
-			}
-			for _, nb := range adj.list {
-				if _, seen := dist[nb]; !seen {
-					dist[nb] = depth
+			prev.set(cur)
+			for _, nb := range g.nodes[cur].adj {
+				if !seen.has(nb) {
+					seen.set(nb)
 					next = append(next, nb)
 				}
 			}
 		}
 		for _, nb := range next {
 			maxProd := 0.0
-			nbAdj := g.adj[nb]
-			for _, pred := range nbAdj.list {
-				if dist[pred] != depth-1 {
+			for _, pred := range g.nodes[nb].adj {
+				if !prev.has(pred) {
 					continue
 				}
-				if p := best[pred] * g.Weight(pred, nb); p > maxProd {
+				if p := best[pred] * g.weight(pred, nb); p > maxProd {
 					maxProd = p
 				}
 			}
 			best[nb] = maxProd
+			out[g.nodes[nb].id] = maxProd
+		}
+		for _, cur := range frontier {
+			prev.clear(cur)
 		}
 		frontier = next
-	}
-	delete(best, source)
-	delete(dist, source)
-	out := make(map[relational.TupleID]float64, len(best))
-	for t, w := range best {
-		out[t] = w
 	}
 	return out
 }

@@ -1,6 +1,7 @@
 package acg
 
 import (
+	"slices"
 	"sort"
 
 	"nebula/internal/annotation"
@@ -20,58 +21,34 @@ import (
 // rewound (the batch history already happened). It reports whether the pair
 // was present.
 func (g *Graph) RemoveAttachment(id annotation.ID, t relational.TupleID) bool {
-	set, ok := g.anns[t]
+	n, ok := g.index[t]
 	if !ok {
 		return false
 	}
-	if _, has := set[id]; !has {
+	a, ok := g.annIndex[id]
+	if !ok {
 		return false
 	}
-	delete(set, id)
-	tuples := g.byAnn[id]
-	for i, other := range tuples {
-		if other == t {
-			g.byAnn[id] = append(tuples[:i:i], tuples[i+1:]...)
-			break
-		}
+	nd := &g.nodes[n]
+	i, has := slices.BinarySearch(nd.anns, a)
+	if !has {
+		return false
 	}
-	if len(g.byAnn[id]) == 0 {
-		delete(g.byAnn, id)
-	}
-	if adj, ok := g.adj[t]; ok {
-		for _, nb := range append([]relational.TupleID(nil), adj.list...) {
-			if g.shareAnnotation(t, nb) {
-				continue
-			}
-			adj.remove(nb)
-			if onb, ok := g.adj[nb]; ok {
-				onb.remove(t)
-				if len(onb.list) == 0 {
-					delete(g.adj, nb)
-				}
-			}
+	nd.anns = slices.Delete(nd.anns, i, i+1)
+	g.detach(a, n)
+	kept := nd.adj[:0]
+	for _, nb := range nd.adj {
+		if common(nd.anns, g.nodes[nb].anns) > 0 {
+			kept = append(kept, nb)
+			continue
 		}
-		if len(adj.list) == 0 {
-			delete(g.adj, t)
-		}
+		removeSorted(&g.nodes[nb].adj, n)
 	}
-	if len(set) == 0 {
-		delete(g.anns, t)
+	nd.adj = kept
+	if len(nd.anns) == 0 {
+		g.freeNode(n)
 	}
 	return true
-}
-
-func (g *Graph) shareAnnotation(a, b relational.TupleID) bool {
-	sa, sb := g.anns[a], g.anns[b]
-	if len(sb) < len(sa) {
-		sa, sb = sb, sa
-	}
-	for id := range sa {
-		if _, ok := sb[id]; ok {
-			return true
-		}
-	}
-	return false
 }
 
 // AffectedAnnotations is the change-data-capture query: the annotations
@@ -81,16 +58,25 @@ func (g *Graph) shareAnnotation(a, b relational.TupleID) bool {
 // the graph — the set re-queued for re-discovery. Seeds outside the graph
 // contribute nothing beyond themselves. Sorted for determinism.
 func (g *Graph) AffectedAnnotations(seeds []relational.TupleID, k int) []annotation.ID {
-	set := make(map[annotation.ID]struct{})
-	for t := range g.bfs(seeds, k) {
-		for id := range g.anns[t] {
-			set[id] = struct{}{}
+	seen := newBitset(len(g.nodes))
+	hit := newBitset(len(g.anns))
+	out := []annotation.ID{}
+	collect := func(n int32) {
+		for _, a := range g.nodes[n].anns {
+			if !hit.has(a) {
+				hit.set(a)
+				out = append(out, g.anns[a].id)
+			}
 		}
 	}
-	out := make([]annotation.ID, 0, len(set))
-	for id := range set {
-		out = append(out, id)
+	frontier := g.sources(seeds, seen)
+	for _, n := range frontier {
+		collect(n)
 	}
+	g.bfs(frontier, seen, k, func(n int32, _ int) bool {
+		collect(n)
+		return true
+	})
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }

@@ -2,6 +2,8 @@ package snapshot
 
 import (
 	"bytes"
+	"reflect"
+	"sort"
 	"testing"
 
 	"nebula/internal/acg"
@@ -161,5 +163,68 @@ func TestRestoredStateIsLive(t *testing.T) {
 	pk := row.MustGet("GID")
 	if _, ok := gt.GetByPK(pk); !ok {
 		t.Error("restored index lookup failed")
+	}
+}
+
+// TestRoundTripGraphAttachmentOrder churns the ACG first — removals free
+// node slots that later attachments reuse, and re-attaching a tuple moves
+// it to the end of its annotation's order — so slot order and attachment
+// order diverge. The restored graph must export the same AttachmentList,
+// attachment order included, and the hop profile the same buckets.
+func TestRoundTripGraphAttachmentOrder(t *testing.T) {
+	ds, err := workload.Generate(workload.TinyConfig(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := ds.Graph
+	list := g.AttachmentList()
+	ids := make([]string, 0, len(list))
+	for id := range list {
+		ids = append(ids, string(id))
+	}
+	sort.Strings(ids)
+	if len(ids) < 12 {
+		t.Fatalf("fixture has %d annotations, need 12", len(ids))
+	}
+	for _, id := range ids[:10] {
+		if ts := list[annotation.ID(id)]; len(ts) > 1 {
+			g.RemoveAttachment(annotation.ID(id), ts[0])
+			g.AddAttachment(annotation.ID(id), ts[0])
+		}
+	}
+	moved := list[annotation.ID(ids[10])][0]
+	g.RemoveTuple(moved)
+	g.AddAnnotation("churn", []relational.TupleID{moved, list[annotation.ID(ids[11])][0]})
+
+	profile := acg.NewProfile()
+	for h, n := range []int{3, 5, 2, 1} {
+		for i := 0; i < n; i++ {
+			profile.Record(h, true)
+		}
+	}
+	profile.Record(0, false)
+	snap, err := Capture(State{DB: ds.DB, Store: ds.Store, Graph: g, Profile: profile})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := Save(&buf, snap); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := Load(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	restored, err := loaded.Restore()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := restored.Graph.AttachmentList(), g.AttachmentList(); !reflect.DeepEqual(got, want) {
+		t.Fatal("restored AttachmentList differs (attachment order included)")
+	}
+	gotB, gotU := restored.Profile.Counts()
+	wantB, wantU := profile.Counts()
+	if !reflect.DeepEqual(gotB, wantB) || gotU != wantU {
+		t.Fatalf("profile buckets %v/%d, want %v/%d", gotB, gotU, wantB, wantU)
 	}
 }

@@ -176,11 +176,17 @@ func (m *Manager) applyAcceptances(a annotation.ID, focal []relational.TupleID, 
 	if len(tasks) == 0 {
 		return nil
 	}
-	// Measure hop distances before mutating the graph.
+	// Measure hop distances before mutating the graph: every task shares
+	// the focal, so one search answers the whole batch. Recording follows
+	// task order.
 	if m.profile != nil && m.graph != nil {
-		for _, t := range tasks {
-			hops, reachable := m.graph.HopsToAny(t.Tuple, focal)
-			m.profile.Record(hops, reachable)
+		targets := make([]relational.TupleID, len(tasks))
+		for i, t := range tasks {
+			targets[i] = t.Tuple
+		}
+		hops, reachable := m.graph.HopsToEach(targets, focal)
+		for i := range tasks {
+			m.profile.Record(hops[i], reachable[i])
 		}
 	}
 	for _, t := range tasks {
