@@ -4,8 +4,8 @@ import (
 	"context"
 	"fmt"
 	"runtime/debug"
-	"sync"
-	"sync/atomic"
+
+	"nebula/internal/pool"
 )
 
 // BatchResult is the outcome of one annotation inside a batch call. Every
@@ -31,23 +31,19 @@ type BatchResult struct {
 // Results align with the input order and are byte-identical to calling
 // Discover sequentially — parallelism changes scheduling, never output.
 func (e *Engine) DiscoverBatch(ids []AnnotationID) []BatchResult {
-	return e.DiscoverBatchContext(context.Background(), ids)
+	return e.DiscoverBatchRequest(context.Background(), ids, RequestOptions{})
 }
 
-// DiscoverBatchContext is DiscoverBatch under governance. On cancellation
-// the pool drains: in-flight annotations finish (returning their partial
-// Discovery with ErrCancelled), not-yet-started ones report the context's
-// error without running. A panic inside one worker poisons only that
-// annotation's result (ErrInternal), never its batch-mates.
-func (e *Engine) DiscoverBatchContext(ctx context.Context, ids []AnnotationID) []BatchResult {
-	return e.DiscoverBatchRequest(ctx, ids, RequestOptions{})
-}
-
-// DiscoverBatchRequest is DiscoverBatchContext with per-request governance
-// (see RequestOptions). The batch is read-only against engine state, so it
-// holds the engine's read lock and runs concurrently with other discover
-// requests and snapshot captures. An invalid request poisons every slot
-// with the validation error rather than silently running unbounded.
+// DiscoverBatchRequest is DiscoverBatch under governance, with
+// RequestOptions overlaying the engine's budget and parallelism. On
+// cancellation the pool drains: in-flight annotations finish (returning
+// their partial Discovery with ErrCancelled), not-yet-started ones report
+// the context's error without running. A panic inside one worker poisons
+// only that annotation's result (ErrInternal), never its batch-mates. The
+// batch is read-only against engine state, so it holds the engine's read
+// lock and runs concurrently with other discover requests and snapshot
+// captures. An invalid request poisons every slot with the validation
+// error rather than silently running unbounded.
 func (e *Engine) DiscoverBatchRequest(ctx context.Context, ids []AnnotationID, req RequestOptions) []BatchResult {
 	if err := req.Validate(); err != nil {
 		return batchError(ids, err)
@@ -71,18 +67,13 @@ func batchError(ids []AnnotationID, err error) []BatchResult {
 // routing runs sequentially in input order — so VIDs, ACG updates, and
 // pending-task order are identical to calling Process in a loop.
 func (e *Engine) ProcessBatch(ids []AnnotationID) []BatchResult {
-	return e.ProcessBatchContext(context.Background(), ids)
+	return e.ProcessBatchRequest(context.Background(), ids, RequestOptions{})
 }
 
-// ProcessBatchContext is ProcessBatch under governance; see
-// DiscoverBatchContext for the cancellation and panic-isolation contract.
+// ProcessBatchRequest is ProcessBatch under governance; see
+// DiscoverBatchRequest for the cancellation and panic-isolation contract.
 // An annotation whose discovery errors (cancellation, budget, spam, panic)
-// is not submitted to verification, exactly as ProcessContext would.
-func (e *Engine) ProcessBatchContext(ctx context.Context, ids []AnnotationID) []BatchResult {
-	return e.ProcessBatchRequest(ctx, ids, RequestOptions{})
-}
-
-// ProcessBatchRequest is ProcessBatchContext with per-request governance.
+// is not submitted to verification, exactly as ProcessRequest would.
 // Stage 3 mutates engine state, so the whole batch holds the engine lock
 // exclusively (unlike DiscoverBatchRequest).
 func (e *Engine) ProcessBatchRequest(ctx context.Context, ids []AnnotationID, req RequestOptions) []BatchResult {
@@ -137,7 +128,7 @@ func (e *Engine) runBatch(ctx context.Context, ids []AnnotationID, process bool,
 
 	workers := resolveWorkers(opts.Parallelism)
 	started := make([]bool, len(ids))
-	batchPool(ctx, len(ids), workers, func(i int) {
+	pool.Run(ctx, len(ids), workers, func(i int) {
 		if inputs[i].a == nil {
 			return
 		}
@@ -201,46 +192,4 @@ func wrapBatchCtxErr(err error) error {
 	default:
 		return fmt.Errorf("%w: %v", ErrCancelled, err)
 	}
-}
-
-// batchPool fans n independent tasks across up to workers goroutines,
-// handing tasks out through an atomic counter. Once ctx is cancelled
-// workers stop picking up new tasks and the pool drains. Tasks write only
-// to their own result slots and recover their own panics, so the pool
-// needs no locking and never re-raises.
-func batchPool(ctx context.Context, n, workers int, task func(int)) {
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			if ctx.Err() != nil {
-				return
-			}
-			task(i)
-		}
-		return
-	}
-	var (
-		next atomic.Int64
-		wg   sync.WaitGroup
-	)
-	next.Store(-1)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				if ctx.Err() != nil {
-					return
-				}
-				i := int(next.Add(1))
-				if i >= n {
-					return
-				}
-				task(i)
-			}
-		}()
-	}
-	wg.Wait()
 }

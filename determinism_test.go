@@ -1,12 +1,15 @@
 package nebula_test
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"nebula"
+	"nebula/internal/keyword"
 	"nebula/internal/workload"
 )
 
@@ -213,5 +216,59 @@ func TestDiscoverBatchUnknownAnnotation(t *testing.T) {
 	}
 	if results[0].Discovery == nil || results[2].Discovery == nil {
 		t.Error("valid slots missing discoveries")
+	}
+}
+
+// countingSearcher wraps a keyword searcher and records the most batch
+// executions ever in flight at once. The Gosched hands the processor to
+// any other ready worker while one execution is in flight, so a fan-out
+// wider than GOMAXPROCS shows up as a peak above it.
+type countingSearcher struct {
+	nebula.KeywordSearcher
+	inFlight, peak *atomic.Int32
+}
+
+func (c countingSearcher) ExecuteBatchContext(ctx context.Context, qs []keyword.Query, shared bool, lim keyword.Limits) (map[string][]keyword.Result, keyword.ExecStats, error) {
+	n := c.inFlight.Add(1)
+	defer c.inFlight.Add(-1)
+	for p := c.peak.Load(); n > p && !c.peak.CompareAndSwap(p, n); p = c.peak.Load() {
+	}
+	runtime.Gosched()
+	return c.KeywordSearcher.ExecuteBatchContext(ctx, qs, shared, lim)
+}
+
+// TestDiscoverBatchFanOutRespectsGOMAXPROCS checks that the batch fan-out
+// is clamped to GOMAXPROCS like every other worker pool: Parallelism 8
+// under GOMAXPROCS=1 must run one discovery at a time.
+func TestDiscoverBatchFanOutRespectsGOMAXPROCS(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	ds, err := workload.Generate(workload.TinyConfig(11))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var inFlight, peak atomic.Int32
+	opts := nebula.DefaultOptions()
+	opts.Parallelism = 8
+	opts.SearcherFactory = func(db *nebula.Database) nebula.KeywordSearcher {
+		return countingSearcher{KeywordSearcher: keyword.NewEngine(db, ds.Meta), inFlight: &inFlight, peak: &peak}
+	}
+	e, err := nebula.NewWithState(ds.DB, ds.Meta, ds.Store, ds.Graph, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ids []nebula.AnnotationID
+	for _, spec := range ds.Workload[:6] {
+		if err := e.AddAnnotation(spec.Ann, spec.Focal(1)); err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, spec.Ann.ID)
+	}
+	for _, r := range e.DiscoverBatch(ids) {
+		if r.Err != nil {
+			t.Fatalf("%s: %v", r.ID, r.Err)
+		}
+	}
+	if got := peak.Load(); got != 1 {
+		t.Errorf("peak executions in flight = %d under GOMAXPROCS=1, want 1", got)
 	}
 }

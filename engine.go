@@ -485,23 +485,18 @@ func (d *Discovery) Degraded() []string {
 // Discover runs Stages 1 and 2 for a stored annotation: signature maps →
 // keyword queries → execution with the engine's configured refinements.
 func (e *Engine) Discover(id AnnotationID) (*Discovery, error) {
-	return e.DiscoverContext(context.Background(), id)
+	return e.DiscoverRequest(context.Background(), id, RequestOptions{})
 }
 
-// DiscoverContext is Discover under governance: the run honors ctx (checked
-// at per-query and per-tuple-batch granularity) and the engine's
-// Options.Budget. On cancellation or deadline it returns the partial
-// Discovery produced so far together with a typed ErrCancelled/
-// ErrBudgetExceeded; count budgets degrade the run (see Discovery.Degraded)
-// without error. With a background context and a zero budget it is
-// byte-identical to Discover.
-func (e *Engine) DiscoverContext(ctx context.Context, id AnnotationID) (d *Discovery, err error) {
-	return e.DiscoverRequest(ctx, id, RequestOptions{})
-}
-
-// DiscoverRequest is DiscoverContext with per-request governance: the
-// serializable RequestOptions overlay the engine's configured budget and
-// parallelism for this one run. Discovery is read-only against engine
+// DiscoverRequest is Discover under governance: the run honors ctx
+// (checked at per-query and per-tuple-batch granularity) and the engine's
+// Options.Budget, overlaid for this one run by the serializable
+// RequestOptions (the zero value keeps the engine's settings). On
+// cancellation or deadline it returns the partial Discovery produced so
+// far together with a typed ErrCancelled/ErrBudgetExceeded; count budgets
+// degrade the run (see Discovery.Degraded) without error. With a
+// background context, a zero budget and zero RequestOptions it is
+// byte-identical to Discover. Discovery is read-only against engine
 // state, so concurrent DiscoverRequest calls proceed in parallel under the
 // engine's read lock.
 func (e *Engine) DiscoverRequest(ctx context.Context, id AnnotationID, req RequestOptions) (d *Discovery, err error) {
@@ -709,20 +704,15 @@ func (e *Engine) RefreshSearchIndex() {
 // NaiveDiscover runs the §4 baseline for a stored annotation: the whole
 // body as one keyword query, no preprocessing, full-database search.
 func (e *Engine) NaiveDiscover(id AnnotationID) (*Discovery, error) {
-	return e.NaiveDiscoverContext(context.Background(), id)
+	return e.NaiveDiscoverRequest(context.Background(), id, RequestOptions{})
 }
 
-// NaiveDiscoverContext is NaiveDiscover under governance: the baseline's
-// full-database scan polls ctx per tuple batch and honors the engine's
-// Options.Budget scan/candidate/deadline bounds. The baseline has no Stage 1,
-// so MaxQueries does not apply.
-func (e *Engine) NaiveDiscoverContext(ctx context.Context, id AnnotationID) (disc *Discovery, err error) {
-	return e.NaiveDiscoverRequest(ctx, id, RequestOptions{})
-}
-
-// NaiveDiscoverRequest is NaiveDiscoverContext with per-request governance;
-// like DiscoverRequest it runs under the engine's read lock, so concurrent
-// baseline scans proceed in parallel.
+// NaiveDiscoverRequest is NaiveDiscover under governance: the baseline's
+// full-database scan polls ctx per tuple batch and honors the
+// scan/candidate/deadline bounds of the engine's Options.Budget as
+// overlaid by RequestOptions. The baseline has no Stage 1, so MaxQueries
+// does not apply. Like DiscoverRequest it runs under the engine's read
+// lock, so concurrent baseline scans proceed in parallel.
 func (e *Engine) NaiveDiscoverRequest(ctx context.Context, id AnnotationID, req RequestOptions) (disc *Discovery, err error) {
 	defer recoverPanic(&err)
 	if err := req.Validate(); err != nil {
@@ -768,24 +758,21 @@ func (e *Engine) NaiveDiscoverRequest(ctx context.Context, id AnnotationID, req 
 // attached immediately (with ACG and profile updates); mid-confidence ones
 // become pending tasks.
 func (e *Engine) Process(id AnnotationID) (*Discovery, VerificationOutcome, error) {
-	return e.ProcessContext(context.Background(), id)
+	return e.ProcessRequest(context.Background(), id, RequestOptions{})
 }
 
-// ProcessContext is Process under governance. Discovery errors — typed
-// cancellation/deadline errors, spam quarantine — abort before Stage 3:
-// nothing is submitted to verification, and the partial Discovery travels
-// with the error. A degraded-but-complete run (count budgets bit, spreading
-// fell back, transient faults were retried) does reach Stage 3, but through
-// the degraded path: its would-be auto-accepts become pending
-// expert-verification tasks, because confidences computed over a truncated
-// evidence base cannot be trusted to clear β_upper unattended.
-func (e *Engine) ProcessContext(ctx context.Context, id AnnotationID) (disc *Discovery, outcome VerificationOutcome, err error) {
-	return e.ProcessRequest(ctx, id, RequestOptions{})
-}
-
-// ProcessRequest is ProcessContext with per-request governance. Stage 3
-// mutates engine state (attachments, ACG, hop profile, VIDs), so unlike
-// DiscoverRequest it holds the engine lock exclusively for the whole run.
+// ProcessRequest is Process under governance, with RequestOptions
+// overlaying the engine's budget as for DiscoverRequest. Discovery errors
+// — typed cancellation/deadline errors, spam quarantine — abort before
+// Stage 3: nothing is submitted to verification, and the partial
+// Discovery travels with the error. A degraded-but-complete run (count
+// budgets bit, spreading fell back, transient faults were retried) does
+// reach Stage 3, but through the degraded path: its would-be auto-accepts
+// become pending expert-verification tasks, because confidences computed
+// over a truncated evidence base cannot be trusted to clear β_upper
+// unattended. Stage 3 mutates engine state (attachments, ACG, hop
+// profile, VIDs), so unlike DiscoverRequest it holds the engine lock
+// exclusively for the whole run.
 func (e *Engine) ProcessRequest(ctx context.Context, id AnnotationID, req RequestOptions) (disc *Discovery, outcome VerificationOutcome, err error) {
 	defer recoverPanic(&err)
 	if err := req.Validate(); err != nil {

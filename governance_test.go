@@ -56,7 +56,7 @@ func TestDeadlineReturnsTypedErrorAndPartials(t *testing.T) {
 	id := addSpec(t, e, ds, 0)
 
 	start := time.Now()
-	disc, err := e.DiscoverContext(context.Background(), id)
+	disc, err := e.DiscoverRequest(context.Background(), id, nebula.RequestOptions{})
 	if elapsed := time.Since(start); elapsed > 30*time.Second {
 		t.Fatalf("deadline did not fire (%v elapsed)", elapsed)
 	}
@@ -88,7 +88,7 @@ func TestProcessInterruptedSubmitsNothing(t *testing.T) {
 	}
 	id := addSpec(t, e, ds, 0)
 
-	disc, outcome, err := e.ProcessContext(context.Background(), id)
+	disc, outcome, err := e.ProcessRequest(context.Background(), id, nebula.RequestOptions{})
 	if !errors.Is(err, nebula.ErrBudgetExceeded) {
 		t.Fatalf("err = %v, want ErrBudgetExceeded", err)
 	}
@@ -108,11 +108,11 @@ func TestCancelledContextReturnsErrCancelled(t *testing.T) {
 	id := addSpec(t, e, ds, 0)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := e.DiscoverContext(ctx, id)
+	_, err := e.DiscoverRequest(ctx, id, nebula.RequestOptions{})
 	if !errors.Is(err, nebula.ErrCancelled) {
 		t.Errorf("Discover err = %v, want ErrCancelled", err)
 	}
-	_, err = e.NaiveDiscoverContext(ctx, id)
+	_, err = e.NaiveDiscoverRequest(ctx, id, nebula.RequestOptions{})
 	if !errors.Is(err, nebula.ErrCancelled) {
 		t.Errorf("NaiveDiscover err = %v, want ErrCancelled", err)
 	}
@@ -137,7 +137,7 @@ func TestUngovernedRunsAreIdentical(t *testing.T) {
 	}
 	// A background context with a zero budget takes the exact legacy code
 	// path: everything matches, execution cost included.
-	background, err := e.DiscoverContext(context.Background(), id)
+	background, err := e.DiscoverRequest(context.Background(), id, nebula.RequestOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +150,7 @@ func TestUngovernedRunsAreIdentical(t *testing.T) {
 	// queries, same candidates; only the scan-sharing economics may differ.
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	governed, err := e.DiscoverContext(ctx, id)
+	governed, err := e.DiscoverRequest(ctx, id, nebula.RequestOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -397,10 +397,10 @@ func TestPanicBecomesErrInternal(t *testing.T) {
 	e, ds := engineFixture(t, opts)
 	id := addSpec(t, e, ds, 0)
 
-	if _, err := e.DiscoverContext(context.Background(), id); !errors.Is(err, nebula.ErrInternal) {
+	if _, err := e.DiscoverRequest(context.Background(), id, nebula.RequestOptions{}); !errors.Is(err, nebula.ErrInternal) {
 		t.Fatalf("Discover err = %v, want ErrInternal", err)
 	}
-	if _, _, err := e.ProcessContext(context.Background(), id); !errors.Is(err, nebula.ErrInternal) {
+	if _, _, err := e.ProcessRequest(context.Background(), id, nebula.RequestOptions{}); !errors.Is(err, nebula.ErrInternal) {
 		t.Fatalf("Process err = %v, want ErrInternal", err)
 	}
 	// The poisoned call must not take the engine down with it: the mutex
@@ -443,7 +443,7 @@ func TestConcurrentCancellation(t *testing.T) {
 			timeout := time.Duration(i%4+1) * time.Millisecond
 			ctx, cancel := context.WithTimeout(context.Background(), timeout)
 			defer cancel()
-			disc, err := e.DiscoverContext(ctx, ids[i%len(ids)])
+			disc, err := e.DiscoverRequest(ctx, ids[i%len(ids)], nebula.RequestOptions{})
 			if err != nil && !errors.Is(err, nebula.ErrBudgetExceeded) && !errors.Is(err, nebula.ErrCancelled) {
 				t.Errorf("goroutine %d: unexpected error %v", i, err)
 			}
@@ -454,7 +454,7 @@ func TestConcurrentCancellation(t *testing.T) {
 	}
 	wg.Wait()
 	// The engine is still healthy afterwards.
-	if _, err := e.DiscoverContext(context.Background(), ids[0]); err != nil {
+	if _, err := e.DiscoverRequest(context.Background(), ids[0], nebula.RequestOptions{}); err != nil {
 		t.Fatalf("engine unhealthy after concurrent cancellations: %v", err)
 	}
 }

@@ -10,6 +10,7 @@ import (
 
 	"nebula/internal/annotation"
 	"nebula/internal/ingest"
+	"nebula/internal/pool"
 	"nebula/internal/relational"
 	"nebula/internal/trace"
 )
@@ -433,7 +434,7 @@ func (e *Engine) drainLocked(ctx context.Context, max int) (res IngestDrainResul
 	}
 	workers := resolveWorkers(e.opts.Parallelism)
 	started := make([]bool, len(slots))
-	batchPool(ctx, len(slots), workers, func(i int) {
+	pool.Run(ctx, len(slots), workers, func(i int) {
 		started[i] = true
 		defer func() {
 			if r := recover(); r != nil {

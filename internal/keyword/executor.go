@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"nebula/internal/meta"
+	"nebula/internal/pool"
 	"nebula/internal/relational"
 	"nebula/internal/trace"
 )
@@ -213,14 +214,18 @@ func (e *Engine) ExecuteBatch(qs []Query, shared bool) (map[string][]Result, Exe
 // ExecStats.Degraded. An ungoverned call (background context, zero Limits)
 // takes the exact legacy path.
 //
+// The shared path is a PlannedBatch executing every fingerprint of its
+// plan, so the planner's waves and this exhaustive run share one fold
+// order, chunking and truncation rule.
+//
 // Limits.MaxWorkers > 1 executes independent work concurrently: distinct
-// queries on the unshared path, structured-query chunks on the governed
-// shared path, and row segments of the shared scans on the ungoverned one.
-// Execution order is the only thing that changes — results are folded in
-// the sequential order afterwards, applying the exact sequential
-// cancellation and budget rules, so output (tuples, confidences, Degraded
-// reasons, truncation point) is byte-identical at any worker count. Only
-// the scheduling fields of ExecStats (Workers, ParallelBatches) differ.
+// queries on the unshared path, row segments of the shared scans on the
+// shared one. Execution order is the only thing that changes — results
+// are folded in the sequential order afterwards, applying the exact
+// sequential cancellation and budget rules, so output (tuples,
+// confidences, Degraded reasons, truncation point) is byte-identical at
+// any worker count. Only the scheduling fields of ExecStats (Workers,
+// ParallelBatches) differ.
 func (e *Engine) ExecuteBatchContext(ctx context.Context, qs []Query, shared bool, lim Limits) (map[string][]Result, ExecStats, error) {
 	var stats ExecStats
 	results := make(map[string][]Result, len(qs))
@@ -254,198 +259,35 @@ func (e *Engine) ExecuteBatchContext(ctx context.Context, qs []Query, shared boo
 		return results, stats, nil
 	}
 
-	// Plan: enumerate configurations for each query up front.
+	// Shared: one PlannedBatch plans the batch, executes every fingerprint
+	// and folds each query in the global fingerprint order.
+	if err := ctx.Err(); err != nil {
+		return results, stats, err
+	}
 	pspan, _ := trace.StartSpan(ctx, "plan")
-	type need struct {
-		queryIdx  int
-		conf      float64
-		join      bool
-		joinTable string
-	}
-	plans := make([][]Configuration, len(qs))
-	wanted := make(map[string][]need) // fingerprint -> consumers
-	ordered := make([]string, 0)      // deterministic execution order
-	structured := make(map[string]relational.Query)
-	for qi, q := range qs {
-		if gov {
-			if err := ctx.Err(); err != nil {
-				return results, stats, err
-			}
-		}
-		plans[qi] = e.Configurations(q)
-		for _, cfg := range plans[qi] {
-			fp := cfg.Structured.Fingerprint()
-			if _, seen := wanted[fp]; !seen {
-				ordered = append(ordered, fp)
-				structured[fp] = cfg.Structured
-			} else {
-				stats.SharedQueries++
-			}
-			wanted[fp] = append(wanted[fp], need{
-				queryIdx: qi, conf: cfg.Confidence,
-				join: cfg.Join, joinTable: cfg.Table,
-			})
-		}
-	}
+	pb := e.NewPlannedBatch(qs)
+	stats.SharedQueries = pb.SharedRefs()
 	if pspan.Enabled() {
 		pspan.AddInt("keyword_queries", len(qs))
-		pspan.AddInt("distinct_structured", len(ordered))
+		pspan.AddInt("distinct_structured", pb.DistinctStructured())
 		pspan.AddInt("shared_structured", stats.SharedQueries)
 		pspan.End()
 	}
-
-	// Execute the distinct structured queries: identical queries were
-	// deduplicated above, and SelectMulti shares the physical scans of the
-	// remainder (one pass per table for all scan queries). Ungoverned runs
-	// submit everything in one batch; governed runs chunk the batch so
-	// cancellation and the scan budget are honored mid-execution.
-	rowSets := make([][]*relational.Row, len(ordered))
-	executed := len(ordered) // fingerprints actually executed
-	var cancelErr error
-	switch {
-	case workers > 1 && !gov:
-		// Ungoverned parallel: one batch, segment-parallel shared scans.
-		if len(ordered) > 0 {
-			batch := make([]relational.Query, len(ordered))
-			for i, fp := range ordered {
-				batch[i] = structured[fp]
-			}
-			sets, st, err := e.dbSelectMulti(ctx, batch, workers, cached)
-			if err != nil {
-				return results, stats, fmt.Errorf("shared execute: %w", err)
-			}
-			copy(rowSets, sets)
-			stats.StructuredQueries += len(batch)
-			stats.TuplesScanned += st.TuplesScanned
-			stats.CacheHits += st.CacheHits
-			stats.ParallelBatches++
-		}
-	case workers > 1:
-		// Governed parallel: chunks execute optimistically in waves of
-		// `workers`, then fold in chunk order applying the exact sequential
-		// cancellation/budget rule before each chunk. Per-chunk scan counts
-		// are deterministic, so the prefix sums — and therefore the
-		// truncation point and Degraded reasons — match workers == 1; at
-		// most workers-1 chunks of speculative work are discarded.
-		type chunkOut struct {
-			sets [][]*relational.Row
-			st   relational.SelectStats
-			err  error
-			done bool
-		}
-		nChunks := (len(ordered) + sharedChunk - 1) / sharedChunk
-		outs := make([]chunkOut, nChunks)
-		runChunk := func(ci int) {
-			lo := ci * sharedChunk
-			hi := lo + sharedChunk
-			if hi > len(ordered) {
-				hi = len(ordered)
-			}
-			batch := make([]relational.Query, hi-lo)
-			for i := lo; i < hi; i++ {
-				batch[i-lo] = structured[ordered[i]]
-			}
-			outs[ci].sets, outs[ci].st, outs[ci].err = e.dbSelectMulti(ctx, batch, 1, cached)
-			outs[ci].done = true
-		}
-		stop := false
-		for waveLo := 0; waveLo < nChunks && !stop; waveLo += workers {
-			waveHi := waveLo + workers
-			if waveHi > nChunks {
-				waveHi = nChunks
-			}
-			runPool(ctx, waveHi-waveLo, workers, func(i int) { runChunk(waveLo + i) })
-			stats.ParallelBatches++
-			for ci := waveLo; ci < waveHi; ci++ {
-				lo := ci * sharedChunk
-				if err := ctx.Err(); err != nil {
-					executed = lo
-					cancelErr = err
-					stop = true
-					break
-				}
-				if !lim.Unlimited() && stats.TuplesScanned >= lim.MaxScannedRows {
-					executed = lo
-					stats.Degraded = append(stats.Degraded, degradedScanBudget(stats.TuplesScanned, lim.MaxScannedRows))
-					stop = true
-					break
-				}
-				if !outs[ci].done {
-					// The pool skips tasks after a cancellation observed
-					// mid-wave; ctx is live here, so run the chunk inline.
-					runChunk(ci)
-				}
-				if outs[ci].err != nil {
-					return results, stats, fmt.Errorf("shared execute: %w", outs[ci].err)
-				}
-				copy(rowSets[lo:lo+len(outs[ci].sets)], outs[ci].sets)
-				stats.StructuredQueries += len(outs[ci].sets)
-				stats.TuplesScanned += outs[ci].st.TuplesScanned
-				stats.CacheHits += outs[ci].st.CacheHits
-			}
-		}
-	default:
-		chunk := len(ordered)
-		if gov && chunk > sharedChunk {
-			chunk = sharedChunk
-		}
-		for lo := 0; lo < len(ordered); lo += chunk {
-			hi := lo + chunk
-			if hi > len(ordered) {
-				hi = len(ordered)
-			}
-			if gov {
-				if err := ctx.Err(); err != nil {
-					executed = lo
-					cancelErr = err
-					break
-				}
-				if !lim.Unlimited() && stats.TuplesScanned >= lim.MaxScannedRows {
-					executed = lo
-					stats.Degraded = append(stats.Degraded, degradedScanBudget(stats.TuplesScanned, lim.MaxScannedRows))
-					break
-				}
-			}
-			batch := make([]relational.Query, hi-lo)
-			for i := lo; i < hi; i++ {
-				batch[i-lo] = structured[ordered[i]]
-			}
-			sets, st, err := e.dbSelectMulti(ctx, batch, 1, cached)
-			if err != nil {
-				return results, stats, fmt.Errorf("shared execute: %w", err)
-			}
-			copy(rowSets[lo:hi], sets)
-			stats.StructuredQueries += len(batch)
-			stats.TuplesScanned += st.TuplesScanned
-			stats.CacheHits += st.CacheHits
-		}
+	// An interruption (the context error, returned bare) keeps the
+	// executed prefix; a database error discards the batch.
+	_, err := pb.ExecuteFingerprints(ctx, pb.ordered, lim, &stats)
+	if err != nil && err != ctx.Err() {
+		return results, stats, err
 	}
-
 	mspan, _ := trace.StartSpan(ctx, "merge")
-	byTuple := make([]map[relational.TupleID]int, len(qs))
-	merged := make([][]Result, len(qs))
-	for i := range byTuple {
-		byTuple[i] = make(map[relational.TupleID]int)
-	}
-	for i, fp := range ordered[:executed] {
-		rows := rowSets[i]
-		for _, n := range wanted[fp] {
-			consumed := rows
-			if n.join {
-				consumed = e.joinProject(rows, n.joinTable)
-			}
-			stats.TuplesReturned += len(consumed)
-			merged[n.queryIdx] = e.mergeRows(merged[n.queryIdx], byTuple[n.queryIdx], consumed, n.conf, qs[n.queryIdx].ID)
-		}
-	}
 	for qi, q := range qs {
-		results[q.ID] = merged[qi]
+		results[q.ID] = pb.MergeQuery(qi, &stats)
 	}
 	if mspan.Enabled() {
 		mspan.AddInt("tuples_returned", stats.TuplesReturned)
 		mspan.End()
 	}
-	return results, stats, cancelErr
+	return results, stats, err
 }
 
 // executeUnsharedParallel is the unshared path with a worker pool: queries
@@ -475,7 +317,7 @@ func (e *Engine) executeUnsharedParallel(ctx context.Context, qs []Query, lim Li
 		if waveHi > len(qs) {
 			waveHi = len(qs)
 		}
-		runPool(ctx, waveHi-waveLo, workers, func(i int) { run(waveLo + i) })
+		pool.Run(ctx, waveHi-waveLo, workers, func(i int) { run(waveLo + i) })
 		stats.ParallelBatches++
 		for i := waveLo; i < waveHi; i++ {
 			if gov {

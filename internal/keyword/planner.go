@@ -10,23 +10,26 @@ import (
 	"nebula/internal/relational"
 )
 
-// This file is the keyword-side half of the cost-based planner: it exposes
-// the shared-execution machinery of ExecuteBatchContext at fingerprint
-// granularity so the discovery planner can execute queries in waves, stop
-// early, and still hand back results byte-identical to one exhaustive
-// shared batch.
+// This file is the §6 shared multi-query executor, the only one: a
+// PlannedBatch plans a batch (deduplicating structured queries by
+// fingerprint), executes fingerprints, and folds each query's results. The
+// exhaustive shared ExecuteBatchContext runs every fingerprint of the plan
+// in one ExecuteFingerprints call; the discovery planner runs them in
+// waves, stops early, and completes pruned queries against a frontier.
+// Fold order, chunking and budget truncation are therefore defined here
+// once, and a planner run that executes everything is byte-identical to
+// the exhaustive one by construction.
 //
 // The subtlety the whole design turns on: in a shared batch, the order a
 // query's configurations fold in is the first-appearance order of their
 // fingerprints ACROSS THE WHOLE BATCH, not the query's own configuration
 // order — a fingerprint shared with an earlier query folds earlier. A
-// planner that executed query subsets through separate ExecuteBatchContext
-// calls would therefore produce per-query result lists in a different
-// relative order than the exhaustive run, and the discovery aggregation's
-// first-seen tiebreak would drift. PlannedBatch enumerates the global plan
-// once, executes fingerprints incrementally (each at most once, however
-// many waves touch it), and merges every query against the one global
-// fingerprint order.
+// planner that executed query subsets as separate batches would therefore
+// produce per-query result lists in a different relative order than the
+// exhaustive run, and the discovery aggregation's first-seen tiebreak
+// would drift. PlannedBatch enumerates the global plan once, executes
+// fingerprints incrementally (each at most once, however many waves touch
+// it), and merges every query against the one global fingerprint order.
 
 // QueryEstimate is the planner's per-keyword-query estimate.
 type QueryEstimate struct {
@@ -40,7 +43,9 @@ type QueryEstimate struct {
 	Configs int
 }
 
-// planNeed mirrors the executor's per-fingerprint consumer record.
+// planNeed is one configuration's claim on a fingerprint's rows: the
+// consuming query, the configuration's confidence, and the join target
+// the rows are projected into.
 type planNeed struct {
 	queryIdx  int
 	conf      float64
@@ -81,8 +86,7 @@ type PlannedBatch struct {
 
 // NewPlannedBatch enumerates the global shared-execution plan for the
 // batch: per-query configurations, the deduplicated fingerprint order, and
-// the consumer list per fingerprint — the same plan phase
-// ExecuteBatchContext runs, with nothing executed yet.
+// the consumer list per fingerprint, with nothing executed yet.
 func (e *Engine) NewPlannedBatch(qs []Query) *PlannedBatch {
 	pb := &PlannedBatch{
 		e:          e,
@@ -411,13 +415,16 @@ func (pb *PlannedBatch) NextWave() []string {
 }
 
 // ExecuteFingerprints executes the given not-yet-executed fingerprints,
-// in global fingerprint order, honoring the scan budget and cancellation
-// exactly like the governed shared path: checks happen at chunk boundaries
-// against the deterministic accumulated scan count, so the truncation
-// point is byte-identical at any worker count and independent of cache
-// state (budgeted runs execute uncached). Returns interrupted=true when
-// the budget stopped execution (the Degraded reason is recorded on
-// stats); a context or database error comes back as err.
+// in global fingerprint order. A governed call (live context or scan
+// budget) submits them in chunks of sharedChunk and checks cancellation
+// and the scan budget before each chunk, against the deterministic
+// accumulated scan count, so the truncation point is byte-identical at any
+// worker count and independent of cache state (budgeted runs execute
+// uncached). Each chunk's shared scans split into row segments across the
+// workers. Returns interrupted=true when the budget stopped execution (the
+// Degraded reason is recorded on stats). A cancellation comes back as the
+// context's error, unwrapped, with the chunks executed so far kept; a
+// database error comes back wrapped.
 func (pb *PlannedBatch) ExecuteFingerprints(ctx context.Context, reqFps []string, lim Limits, stats *ExecStats) (interrupted bool, err error) {
 	want := make(map[string]struct{}, len(reqFps))
 	for _, fp := range reqFps {
@@ -439,9 +446,8 @@ func (pb *PlannedBatch) ExecuteFingerprints(ctx context.Context, reqFps []string
 	}
 	cached := !pb.e.Uncached && lim.Unlimited()
 	// Ungoverned calls submit all fingerprints as one batch so scan
-	// queries against the same table share a single physical pass —
-	// the same sharing the exhaustive shared path gets. Governed calls
-	// chunk so budget and deadline checks stay responsive.
+	// queries against the same table share a single physical pass.
+	// Governed calls chunk so budget and deadline checks stay responsive.
 	chunk := len(fps)
 	if gov && chunk > sharedChunk {
 		chunk = sharedChunk
@@ -510,10 +516,10 @@ func (pb *PlannedBatch) EachProduced(fp string, visit func(qi int, row *relation
 }
 
 // MergeQuery folds one query's results from the executed fingerprints, in
-// the global fingerprint order — for a fully executed query this is
-// byte-identical (tuples, confidences, list order) to the query's slice of
-// an exhaustive ExecuteBatchContext run. Results are memoized; fingerprints
-// not yet executed contribute nothing (the partial-merge semantics of an
+// the global fingerprint order — for a fully executed query this is the
+// query's slice of an exhaustive shared ExecuteBatchContext run (tuples,
+// confidences, list order). Results are memoized; fingerprints not yet
+// executed contribute nothing (the partial-merge semantics of an
 // interrupted run).
 func (pb *PlannedBatch) MergeQuery(qi int, stats *ExecStats) []Result {
 	if rs, ok := pb.merged[qi]; ok {

@@ -120,19 +120,3 @@ func TestSelectMultiWorkersValidation(t *testing.T) {
 		}
 	}
 }
-
-// TestRunTasksPanicPropagates pins the pool contract: a worker panic is
-// re-raised on the calling goroutine (so the engine's public boundary can
-// convert it to ErrInternal) instead of crashing the process.
-func TestRunTasksPanicPropagates(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("worker panic was swallowed")
-		}
-	}()
-	runTasks(8, 4, func(i int) {
-		if i == 5 {
-			panic("boom")
-		}
-	})
-}

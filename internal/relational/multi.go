@@ -1,9 +1,12 @@
 package relational
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"strings"
+
+	"nebula/internal/pool"
 )
 
 // minSegmentRows is the smallest slice of a shared table pass worth handing
@@ -181,7 +184,7 @@ func (db *Database) selectMultiWorkers(queries []Query, workers int, useCache bo
 	}
 	idxRows := make([][]*Row, len(indexed))
 	idxStats := make([]SelectStats, len(indexed))
-	runTasks(len(indexed)+len(segments), workers, func(ti int) {
+	pool.Run(context.Background(), len(indexed)+len(segments), workers, func(ti int) {
 		if ti < len(indexed) {
 			// Validation above guarantees these cannot error.
 			rows, st, _ := db.selectQuery(indexed[ti].q, useCache)

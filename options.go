@@ -30,7 +30,7 @@ type Budget struct {
 	MaxSearchedRows int
 	// Deadline is the wall-clock budget for one discovery run; it is
 	// combined (as context.WithTimeout) with whatever context the caller
-	// passes to DiscoverContext/ProcessContext.
+	// passes to the *Request methods (DiscoverRequest, ProcessRequest, …).
 	Deadline time.Duration
 }
 
@@ -282,11 +282,12 @@ type Options struct {
 	// instrumentation.
 	SearcherFactory func(db *Database) KeywordSearcher
 	// Parallelism sizes the worker pool used for keyword execution and for
-	// the engine's batch APIs (DiscoverBatch/ProcessBatch). 0 selects
-	// runtime.NumCPU(); 1 forces the exact sequential legacy path; n > 1
-	// uses up to n workers. Whatever the value, results are byte-identical
-	// to sequential execution — parallelism changes scheduling, never
-	// output.
+	// the engine's batch APIs (DiscoverBatch/ProcessBatch) and ingest
+	// drains. 0 selects runtime.NumCPU(); 1 forces the exact sequential
+	// legacy path; n > 1 uses up to n workers. Every pool is capped at
+	// GOMAXPROCS, so 0 means min(NumCPU, GOMAXPROCS) workers in effect.
+	// Whatever the value, results are byte-identical to sequential
+	// execution — parallelism changes scheduling, never output.
 	Parallelism int
 	// Cache governs the epoch-versioned result caches (see CacheConfig).
 	// The zero value enables them with the default budget; caching never
