@@ -20,8 +20,8 @@ check:
 	$(GO) build ./...
 	$(GO) test -race ./...
 	$(GO) test -run 'Fault|Inject|Governor|Deadline|Cancel|Budget|Degraded|Retry|Panic|Truncat|BitFlip|SaveFile' ./internal/faultinject/ ./internal/snapshot/ .
-	$(GO) test -run Fuzz ./internal/sqlish/ ./internal/snapshot/ ./internal/wal/ ./internal/segment/
-	$(GO) test -run 'Determinis|Cache|Trace|Unicode' ./internal/cache/ ./internal/keyword/ ./internal/relational/ ./internal/trace/ .
+	$(GO) test -run Fuzz ./internal/sqlish/ ./internal/snapshot/ ./internal/wal/ ./internal/segment/ ./internal/textutil/
+	$(GO) test -run 'Determinis|Cache|Trace|Unicode' ./internal/cache/ ./internal/keyword/ ./internal/relational/ ./internal/textutil/ ./internal/trace/ .
 	$(GO) test -race -run 'WAL' ./internal/wal/ .
 	$(GO) test -race -run 'Plan|Golden|Estimate' ./internal/discovery/ ./internal/keyword/ ./internal/meta/
 	$(GO) test -race -run 'Ingest|Stream|Queue' ./internal/ingest/ ./internal/bench/ ./internal/server/ .

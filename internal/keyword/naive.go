@@ -112,32 +112,9 @@ func rowMatchesToken(schema *relational.Schema, row *relational.Row, lowerTok st
 		if strings.EqualFold(v, lowerTok) {
 			return true
 		}
-		if col.FullText && textContainsToken(v, lowerTok) {
+		if col.FullText && textutil.ContainsTerm(v, lowerTok) {
 			return true
 		}
 	}
 	return false
-}
-
-func textContainsToken(text, lowerTok string) bool {
-	lt := strings.ToLower(text)
-	idx := 0
-	for {
-		i := strings.Index(lt[idx:], lowerTok)
-		if i < 0 {
-			return false
-		}
-		start := idx + i
-		end := start + len(lowerTok)
-		beforeOK := start == 0 || !isAlnum(lt[start-1])
-		afterOK := end == len(lt) || !isAlnum(lt[end])
-		if beforeOK && afterOK {
-			return true
-		}
-		idx = start + 1
-	}
-}
-
-func isAlnum(b byte) bool {
-	return b >= 'a' && b <= 'z' || b >= '0' && b <= '9' || b >= 'A' && b <= 'Z'
 }

@@ -19,8 +19,9 @@ import (
 // keyword role hints beyond filtering to value keywords.
 type SymbolTableEngine struct {
 	db *relational.Database
-	// symbols maps a lower-cased token to the rows containing it.
-	symbols map[string][]symbolHit
+	// symbols maps a lower-cased token to the rows containing it. Hits
+	// are held by pointer, so appending to a known term is a lookup.
+	symbols map[string]*[]symbolHit
 	// indexedRows counts rows processed by the pre-processing phase.
 	indexedRows int
 }
@@ -41,8 +42,10 @@ func NewSymbolTableEngine(db *relational.Database) *SymbolTableEngine {
 // Rebuild re-runs the pre-processing phase (required after data changes —
 // the documented weakness of index-first techniques).
 func (e *SymbolTableEngine) Rebuild() {
-	e.symbols = make(map[string][]symbolHit)
+	e.symbols = make(map[string]*[]symbolHit)
 	e.indexedRows = 0
+	var arr [64]byte
+	buf := arr[:0]
 	for _, name := range e.db.TableNames() {
 		t := e.db.MustTable(name)
 		schema := t.Schema()
@@ -52,22 +55,35 @@ func (e *SymbolTableEngine) Rebuild() {
 				if col.Type != relational.TypeString {
 					continue
 				}
+				h := symbolHit{row: row, column: col.Name}
 				v := row.Values[i].Str()
 				if col.FullText {
-					seen := map[string]struct{}{}
-					for _, tok := range textutil.Tokenize(v) {
-						if _, dup := seen[tok.Lower]; dup {
-							continue
-						}
-						seen[tok.Lower] = struct{}{}
-						e.symbols[tok.Lower] = append(e.symbols[tok.Lower], symbolHit{row: row, column: col.Name})
-					}
+					textutil.EachWord(v, func(word string) {
+						buf = textutil.AppendLower(buf[:0], word)
+						e.addSymbol(buf, h)
+					})
 					continue
 				}
-				e.symbols[strings.ToLower(v)] = append(e.symbols[strings.ToLower(v)], symbolHit{row: row, column: col.Name})
+				buf = textutil.AppendLower(buf[:0], v)
+				e.addSymbol(buf, h)
 			}
 		}
 	}
+}
+
+// addSymbol appends h to the lower-cased term's hits. A full-text value
+// is indexed in one pass, so a repeated token finds h already last and is
+// skipped; a new term's key is a fresh copy, never a substring pinning the
+// row text.
+func (e *SymbolTableEngine) addSymbol(term []byte, h symbolHit) {
+	hs := e.symbols[string(term)]
+	if hs == nil {
+		hs = new([]symbolHit)
+		e.symbols[string(term)] = hs
+	} else if n := len(*hs); n > 0 && (*hs)[n-1] == h {
+		return
+	}
+	*hs = append(*hs, h)
 }
 
 // IndexedRows reports how many rows the pre-processing pass covered.
@@ -86,7 +102,12 @@ func (e *SymbolTableEngine) Database() *relational.Database { return e.db }
 // columns are discounted rather than dropped — the index has no schema
 // semantics to enforce them with.
 func (e *SymbolTableEngine) Execute(q Query) ([]Result, ExecStats, error) {
-	return executeSymbolQuery(q, func(term string) []symbolHit { return e.symbols[term] })
+	return executeSymbolQuery(q, func(term string) []symbolHit {
+		if hs := e.symbols[term]; hs != nil {
+			return *hs
+		}
+		return nil
+	})
 }
 
 // executeSymbolQuery answers one keyword query given a term-lookup

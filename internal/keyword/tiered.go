@@ -2,7 +2,6 @@ package keyword
 
 import (
 	"context"
-	"strings"
 	"sync"
 
 	"nebula/internal/relational"
@@ -122,39 +121,40 @@ func (t *TieredEngine) absorbLocked() {
 
 // indexRowLocked adds the row's current terms to the tail — the same
 // extraction the heap engine's Rebuild performs: full-text columns yield
-// per-value-deduplicated tokens, other string columns their whole
-// lower-cased value.
+// their tokens (a posting set absorbs repeats), other string columns their
+// whole lower-cased value.
 func (t *TieredEngine) indexRowLocked(row *relational.Row) {
 	tb, ok := t.db.Table(row.ID.Table)
 	if !ok {
 		return
 	}
-	schema := tb.Schema()
-	for i, col := range schema.Columns {
+	var arr [64]byte
+	buf := arr[:0]
+	for i, col := range tb.Schema().Columns {
 		if col.Type != relational.TypeString {
 			continue
 		}
+		k := tailKey{id: row.ID, column: col.Name}
 		v := row.Values[i].Str()
 		if col.FullText {
-			seen := map[string]struct{}{}
-			for _, tok := range textutil.Tokenize(v) {
-				if _, dup := seen[tok.Lower]; dup {
-					continue
-				}
-				seen[tok.Lower] = struct{}{}
-				t.addTailLocked(tok.Lower, tailKey{id: row.ID, column: col.Name})
-			}
+			textutil.EachWord(v, func(word string) {
+				buf = textutil.AppendLower(buf[:0], word)
+				t.addTailLocked(buf, k)
+			})
 			continue
 		}
-		t.addTailLocked(strings.ToLower(v), tailKey{id: row.ID, column: col.Name})
+		buf = textutil.AppendLower(buf[:0], v)
+		t.addTailLocked(buf, k)
 	}
 }
 
-func (t *TieredEngine) addTailLocked(term string, k tailKey) {
-	set := t.tail[term]
+// addTailLocked adds the posting k under the lower-cased term. A new
+// term's key is a fresh copy, never a substring pinning the row text.
+func (t *TieredEngine) addTailLocked(term []byte, k tailKey) {
+	set := t.tail[string(term)]
 	if set == nil {
 		set = map[tailKey]struct{}{}
-		t.tail[term] = set
+		t.tail[string(term)] = set
 	}
 	if _, dup := set[k]; !dup {
 		set[k] = struct{}{}
@@ -182,29 +182,26 @@ func (t *TieredEngine) removeRowLocked(id relational.TupleID) {
 // is what lets immutable segments serve a mutable database exactly: a
 // stale posting (row deleted, value changed) simply fails verification.
 func (t *TieredEngine) verify(k tailKey, term string) (*relational.Row, bool) {
-	row, ok := t.db.Lookup(k.id)
-	if !ok {
-		return nil, false
-	}
 	tb, ok := t.db.Table(k.id.Table)
 	if !ok {
 		return nil, false
 	}
-	schema := tb.Schema()
-	for i, col := range schema.Columns {
+	row, ok := tb.GetByKey(k.id.Key)
+	if !ok {
+		return nil, false
+	}
+	for i, col := range tb.Schema().Columns {
 		if col.Type != relational.TypeString || col.Name != k.column {
 			continue
 		}
 		v := row.Values[i].Str()
 		if col.FullText {
-			for _, tok := range textutil.Tokenize(v) {
-				if tok.Lower == term {
-					return row, true
-				}
+			if textutil.ContainsWord(v, term) {
+				return row, true
 			}
 			return nil, false
 		}
-		if strings.ToLower(v) == term {
+		if textutil.EqualLower(v, term) {
 			return row, true
 		}
 		return nil, false

@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"nebula/internal/cache"
+	"nebula/internal/textutil"
 )
 
 // Database is a set of tables plus the FK–PK relationship graph between
@@ -59,7 +60,8 @@ func (db *Database) SetRowMutationHook(hook func(RowMutation)) {
 
 // Table returns the named table (case-insensitive).
 func (db *Database) Table(name string) (*Table, bool) {
-	t, ok := db.tables[strings.ToLower(name)]
+	var buf [64]byte
+	t, ok := db.tables[string(textutil.AppendLower(buf[:0], name))]
 	return t, ok
 }
 
@@ -168,13 +170,12 @@ func (db *Database) selectQuery(q Query, useCache bool) ([]*Row, SelectStats, er
 	if !ok {
 		return nil, stats, fmt.Errorf("select: unknown table %q", q.Table)
 	}
-	for _, p := range q.Predicates {
-		if _, ok := t.schema.ColumnIndex(p.Column); !ok {
-			return nil, stats, fmt.Errorf("select: table %s has no column %q", q.Table, p.Column)
-		}
+	preds, err := bindPredicates(t, q)
+	if err != nil {
+		return nil, stats, err
 	}
 
-	candidates, drove, usedIndex := db.accessPath(t, q)
+	candidates, drove, usedIndex := accessPath(t, preds)
 
 	// Only full scans are worth memoizing: indexed accesses are already
 	// near the cost of a cache probe. Stats report actual work done, so a
@@ -196,17 +197,7 @@ func (db *Database) selectQuery(q Query, useCache bool) ([]*Row, SelectStats, er
 
 	var out []*Row
 	for _, r := range candidates {
-		ok := true
-		for i, p := range q.Predicates {
-			if i == drove {
-				continue // already satisfied by the access path
-			}
-			if !p.Matches(r) {
-				ok = false
-				break
-			}
-		}
-		if ok {
+		if matchesAll(preds, drove, r) {
 			out = append(out, r)
 		}
 	}
@@ -229,22 +220,21 @@ func scanEntryCost(key string, rows int) int64 {
 // accessPath chooses the driving predicate. It returns the candidate rows,
 // the index of the predicate satisfied by the access path (-1 for full
 // scan), and whether an index drove the access.
-func (db *Database) accessPath(t *Table, q Query) (rows []*Row, drove int, usedIndex bool) {
+func accessPath(t *Table, preds []boundPredicate) (rows []*Row, drove int, usedIndex bool) {
 	best := -1
 	var bestRows []*Row
-	for i, p := range q.Predicates {
-		key := strings.ToLower(p.Column)
-		switch p.Op {
+	for i, p := range preds {
+		switch p.op {
 		case OpEq:
-			if ix, ok := t.hash[key]; ok {
-				c := ix.lookup(p.Operand)
+			if ix := t.hash[p.col]; ix != nil {
+				c := ix.lookup(p.operand)
 				if best == -1 || len(c) < len(bestRows) {
 					best, bestRows = i, c
 				}
 			}
 		case OpContainsToken:
-			if ix, ok := t.inverted[key]; ok {
-				c := ix.lookup(strings.ToLower(p.Operand.Str()))
+			if ix := t.inverted[p.col]; ix != nil {
+				c := ix.lookup(p.lower)
 				if best == -1 || len(c) < len(bestRows) {
 					best, bestRows = i, c
 				}

@@ -35,7 +35,8 @@ func (ix *hashIndex) remove(v Value, r *Row) {
 }
 
 func (ix *hashIndex) lookup(v Value) []*Row {
-	return ix.buckets[v.Key()]
+	var buf [64]byte
+	return ix.buckets[string(v.AppendKey(buf[:0]))]
 }
 
 // distinct returns the number of distinct values in the indexed column —
@@ -44,46 +45,64 @@ func (ix *hashIndex) distinct() int { return len(ix.buckets) }
 
 // invertedIndex maps lower-cased tokens to the rows whose indexed column
 // contains that token. It powers keyword containment queries over text
-// columns (publication titles/abstracts).
+// columns (publication titles/abstracts). Postings are held by pointer, so
+// appending to an existing term is a map lookup, which allocates nothing;
+// only a new term allocates its key, a copy of the folded token that never
+// pins the row text.
 type invertedIndex struct {
-	postings map[string][]*Row
+	postings map[string]*[]*Row
 }
 
 func newInvertedIndex() *invertedIndex {
-	return &invertedIndex{postings: make(map[string][]*Row)}
+	return &invertedIndex{postings: make(map[string]*[]*Row)}
 }
 
+// add appends r to the postings of every distinct token of text, in token
+// order. A row is indexed in one call, so a repeated token finds r already
+// at the end of its postings.
 func (ix *invertedIndex) add(text string, r *Row) {
-	seen := make(map[string]struct{})
-	for _, tok := range textutil.Tokenize(text) {
-		if _, dup := seen[tok.Lower]; dup {
-			continue
+	var arr [64]byte
+	buf := arr[:0]
+	textutil.EachWord(text, func(word string) {
+		buf = textutil.AppendLower(buf[:0], word)
+		ps := ix.postings[string(buf)]
+		if ps == nil {
+			ps = new([]*Row)
+			ix.postings[string(buf)] = ps
+		} else if n := len(*ps); n > 0 && (*ps)[n-1] == r {
+			return
 		}
-		seen[tok.Lower] = struct{}{}
-		ix.postings[tok.Lower] = append(ix.postings[tok.Lower], r)
-	}
+		*ps = append(*ps, r)
+	})
 }
 
+// remove drops r from the postings of every token of text. Removal copies
+// the remaining postings, since lookups hand the slice to callers; a
+// repeated token finds r already gone.
 func (ix *invertedIndex) remove(text string, r *Row) {
-	seen := make(map[string]struct{})
-	for _, tok := range textutil.Tokenize(text) {
-		if _, dup := seen[tok.Lower]; dup {
-			continue
+	var arr [64]byte
+	buf := arr[:0]
+	textutil.EachWord(text, func(word string) {
+		buf = textutil.AppendLower(buf[:0], word)
+		ps := ix.postings[string(buf)]
+		if ps == nil {
+			return
 		}
-		seen[tok.Lower] = struct{}{}
-		rows := ix.postings[tok.Lower]
-		for i, candidate := range rows {
+		for i, candidate := range *ps {
 			if candidate == r {
-				ix.postings[tok.Lower] = append(rows[:i:i], rows[i+1:]...)
+				*ps = append((*ps)[:i:i], (*ps)[i+1:]...)
 				break
 			}
 		}
-		if len(ix.postings[tok.Lower]) == 0 {
-			delete(ix.postings, tok.Lower)
+		if len(*ps) == 0 {
+			delete(ix.postings, string(buf))
 		}
-	}
+	})
 }
 
 func (ix *invertedIndex) lookup(token string) []*Row {
-	return ix.postings[token]
+	if ps := ix.postings[token]; ps != nil {
+		return *ps
+	}
+	return nil
 }

@@ -67,8 +67,9 @@ func (db *Database) selectMultiWorkers(queries []Query, workers int, useCache bo
 	// fills its result slot immediately and drops out of the shared pass.
 	// Validation errors surface here, before any execution, in input order.
 	type scanItem struct {
-		idx int
-		q   Query
+		idx   int
+		q     Query
+		preds []boundPredicate
 	}
 	type cacheFill struct {
 		idx   int
@@ -85,12 +86,11 @@ func (db *Database) selectMultiWorkers(queries []Query, workers int, useCache bo
 		if !ok {
 			return nil, stats, fmt.Errorf("select: unknown table %q", q.Table)
 		}
-		for _, p := range q.Predicates {
-			if _, ok := t.schema.ColumnIndex(p.Column); !ok {
-				return nil, stats, fmt.Errorf("select: table %s has no column %q", q.Table, p.Column)
-			}
+		preds, err := bindPredicates(t, q)
+		if err != nil {
+			return nil, stats, err
 		}
-		if _, _, ok := db.accessPath(t, q); ok {
+		if _, _, ok := accessPath(t, preds); ok {
 			indexed = append(indexed, scanItem{idx: i, q: q})
 			continue
 		}
@@ -108,7 +108,7 @@ func (db *Database) selectMultiWorkers(queries []Query, workers int, useCache bo
 		if _, seen := scansByTable[key]; !seen {
 			tableOrder = append(tableOrder, key)
 		}
-		scansByTable[key] = append(scansByTable[key], scanItem{idx: i, q: q})
+		scansByTable[key] = append(scansByTable[key], scanItem{idx: i, q: q, preds: preds})
 	}
 
 	// One shared pass per table answers every scan query. Single-predicate
@@ -117,7 +117,7 @@ func (db *Database) selectMultiWorkers(queries []Query, workers int, useCache bo
 	// row's cell value is hashed once and matched against all operands
 	// simultaneously, so the per-row cost is O(probed columns), not
 	// O(queries). Everything else falls back to per-query evaluation
-	// within the same pass.
+	// within the same pass, with its predicates bound once above.
 	type probe struct {
 		colIdx int
 		byKey  map[string][]int // operand key -> query indexes
@@ -134,15 +134,15 @@ func (db *Database) selectMultiWorkers(queries []Query, workers int, useCache bo
 		pass := &tablePass{t: t}
 		probeByCol := make(map[int]*probe)
 		for _, item := range items {
-			if len(item.q.Predicates) == 1 && item.q.Predicates[0].Op == OpEq {
-				ci, _ := t.schema.ColumnIndex(item.q.Predicates[0].Column)
+			if len(item.preds) == 1 && item.preds[0].op == OpEq {
+				ci := item.preds[0].col
 				p, ok := probeByCol[ci]
 				if !ok {
 					p = &probe{colIdx: ci, byKey: make(map[string][]int)}
 					probeByCol[ci] = p
 					pass.probes = append(pass.probes, p)
 				}
-				k := item.q.Predicates[0].Operand.Key()
+				k := item.preds[0].operand.Key()
 				p.byKey[k] = append(p.byKey[k], item.idx)
 				continue
 			}
@@ -192,21 +192,16 @@ func (db *Database) selectMultiWorkers(queries []Query, workers int, useCache bo
 			return
 		}
 		seg := segments[ti-len(indexed)]
+		var keyBuf [64]byte
 		for _, r := range seg.pass.t.rows[seg.lo:seg.hi] {
 			for _, p := range seg.pass.probes {
-				for _, qi := range p.byKey[r.Values[p.colIdx].Key()] {
+				key := r.Values[p.colIdx].AppendKey(keyBuf[:0])
+				for _, qi := range p.byKey[string(key)] {
 					seg.hits = append(seg.hits, hit{qi: qi, r: r})
 				}
 			}
 			for _, item := range seg.pass.residual {
-				match := true
-				for _, pred := range item.q.Predicates {
-					if !pred.Matches(r) {
-						match = false
-						break
-					}
-				}
-				if match {
+				if matchesAll(item.preds, -1, r) {
 					seg.hits = append(seg.hits, hit{qi: item.idx, r: r})
 				}
 			}

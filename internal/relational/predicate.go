@@ -3,6 +3,8 @@ package relational
 import (
 	"fmt"
 	"strings"
+
+	"nebula/internal/textutil"
 )
 
 // Op is a predicate comparison operator.
@@ -46,20 +48,70 @@ func (p Predicate) String() string {
 
 // Matches evaluates the predicate against a row.
 func (p Predicate) Matches(r *Row) bool {
-	v, ok := r.Get(p.Column)
+	b, ok := p.bind(r.schema)
+	return ok && b.matches(r)
+}
+
+// boundPredicate is a Predicate resolved against one schema: the column
+// name becomes an ordinal and the operand is lower-cased once, so a scan
+// evaluates it per row without a name lookup or a case fold of the
+// operand.
+type boundPredicate struct {
+	col     int
+	op      Op
+	operand Value
+	lower   string // strings.ToLower(operand.Str()), for CONTAINS and PREFIX
+}
+
+func (p Predicate) bind(s *Schema) (boundPredicate, bool) {
+	ci, ok := s.ColumnIndex(p.Column)
 	if !ok {
-		return false
+		return boundPredicate{}, false
 	}
-	switch p.Op {
+	b := boundPredicate{col: ci, op: p.Op, operand: p.Operand}
+	if p.Op != OpEq {
+		b.lower = strings.ToLower(p.Operand.Str())
+	}
+	return b, true
+}
+
+// bindPredicates binds every predicate of q against t's schema, failing on
+// the first unknown column.
+func bindPredicates(t *Table, q Query) ([]boundPredicate, error) {
+	out := make([]boundPredicate, len(q.Predicates))
+	for i, p := range q.Predicates {
+		b, ok := p.bind(t.schema)
+		if !ok {
+			return nil, fmt.Errorf("select: table %s has no column %q", q.Table, p.Column)
+		}
+		out[i] = b
+	}
+	return out, nil
+}
+
+func (b boundPredicate) matches(r *Row) bool {
+	v := r.Values[b.col]
+	switch b.op {
 	case OpEq:
-		return v.EqualFold(p.Operand)
+		return v.EqualFold(b.operand)
 	case OpContainsToken:
-		return containsToken(v.Str(), strings.ToLower(p.Operand.Str()))
+		return textutil.ContainsTerm(v.Str(), b.lower)
 	case OpPrefix:
-		return strings.HasPrefix(strings.ToLower(v.Str()), strings.ToLower(p.Operand.Str()))
+		return textutil.HasLowerPrefix(v.Str(), b.lower)
 	default:
 		return false
 	}
+}
+
+// matchesAll reports whether r satisfies every predicate except the one at
+// index skip (the one an access path already satisfied; -1 for none).
+func matchesAll(preds []boundPredicate, skip int, r *Row) bool {
+	for i, p := range preds {
+		if i != skip && !p.matches(r) {
+			return false
+		}
+	}
+	return true
 }
 
 // Query is a structured single-table selection with conjunctive predicates.

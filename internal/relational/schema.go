@@ -3,6 +3,8 @@ package relational
 import (
 	"fmt"
 	"strings"
+
+	"nebula/internal/textutil"
 )
 
 // Column describes one attribute of a table.
@@ -84,7 +86,8 @@ func (s *Schema) ColumnIndex(name string) (int, bool) {
 	if s.colIndex == nil {
 		_ = s.Validate()
 	}
-	i, ok := s.colIndex[strings.ToLower(name)]
+	var buf [64]byte
+	i, ok := s.colIndex[string(textutil.AppendLower(buf[:0], name))]
 	return i, ok
 }
 

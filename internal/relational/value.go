@@ -15,6 +15,8 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+
+	"nebula/internal/textutil"
 )
 
 // Type enumerates the column types supported by the engine.
@@ -102,13 +104,20 @@ func (v Value) EqualFold(o Value) bool {
 // Key returns a canonical string form usable as a map key; distinct values
 // of different kinds never collide.
 func (v Value) Key() string {
+	var buf [64]byte
+	return string(v.AppendKey(buf[:0]))
+}
+
+// AppendKey appends Key's bytes to buf. Probing a map with
+// m[string(v.AppendKey(buf[:0]))] allocates nothing for ASCII strings.
+func (v Value) AppendKey(buf []byte) []byte {
 	switch v.kind {
 	case TypeString:
-		return "s:" + strings.ToLower(v.s)
+		return textutil.AppendLower(append(buf, "s:"...), v.s)
 	case TypeInt:
-		return "i:" + strconv.FormatInt(v.i, 10)
+		return strconv.AppendInt(append(buf, "i:"...), v.i, 10)
 	default:
-		return "f:" + strconv.FormatFloat(v.f, 'g', -1, 64)
+		return strconv.AppendFloat(append(buf, "f:"...), v.f, 'g', -1, 64)
 	}
 }
 

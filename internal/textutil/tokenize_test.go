@@ -71,8 +71,10 @@ func TestTokenizeUnicode(t *testing.T) {
 }
 
 // Property: offsets always point at the token's text within the input.
+// quick generates only valid UTF-8 strings, so the property also runs over
+// raw byte slices, which reach invalid encodings.
 func TestTokenizeOffsetsProperty(t *testing.T) {
-	f := func(s string) bool {
+	located := func(s string) bool {
 		for _, tok := range Tokenize(s) {
 			if tok.Offset < 0 || tok.Offset+len(tok.Text) > len(s) {
 				return false
@@ -83,8 +85,32 @@ func TestTokenizeOffsetsProperty(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+	if err := quick.Check(located, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
+	}
+	fromBytes := func(b []byte) bool { return located(string(b)) }
+	if err := quick.Check(fromBytes, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// Regression: an invalid byte once advanced offsets by len("\uFFFD") = 3,
+// so every later token pointed past its text and slicing with it panicked.
+func TestTokenizeOffsetsAfterInvalidUTF8(t *testing.T) {
+	s := "a\xffb JW0014"
+	toks := Tokenize(s)
+	want := []Token{
+		{Text: "a", Lower: "a", Index: 0, Offset: 0},
+		{Text: "b", Lower: "b", Index: 1, Offset: 2},
+		{Text: "JW0014", Lower: "jw0014", Index: 2, Offset: 4},
+	}
+	if !reflect.DeepEqual(toks, want) {
+		t.Fatalf("Tokenize(%q) = %+v, want %+v", s, toks, want)
+	}
+	for _, tok := range toks {
+		if got := s[tok.Offset : tok.Offset+len(tok.Text)]; got != tok.Text {
+			t.Errorf("offset %d locates %q, want %q", tok.Offset, got, tok.Text)
+		}
 	}
 }
 

@@ -263,11 +263,11 @@ func (m *Manager) Reject(vid int64) error {
 // the number of cancelled tasks.
 func (m *Manager) CancelTasksForTuple(tuple relational.TupleID) int {
 	n := 0
-	for _, t := range m.PendingTasks() {
+	for vid, t := range m.pending {
 		if t.Tuple != tuple {
 			continue
 		}
-		delete(m.pending, t.VID)
+		delete(m.pending, vid)
 		t.Decision = ExpertRejected
 		n++
 	}
@@ -279,14 +279,16 @@ func (m *Manager) CancelTasksForTuple(tuple relational.TupleID) int {
 // is re-discovered its undecided tasks are superseded, because their
 // confidences were computed over a database state that no longer exists.
 // Cancelled tasks are marked ExpertRejected. It returns the number of
-// cancelled tasks.
+// cancelled tasks. The pending map is filtered in place: the outcome does
+// not depend on visiting order, so WAL replay, which retracts once per
+// re-discovered annotation, never sorts the whole queue.
 func (m *Manager) CancelTasksForAnnotation(a annotation.ID) int {
 	n := 0
-	for _, t := range m.PendingTasks() {
+	for vid, t := range m.pending {
 		if t.Annotation != a {
 			continue
 		}
-		delete(m.pending, t.VID)
+		delete(m.pending, vid)
 		t.Decision = ExpertRejected
 		n++
 	}
